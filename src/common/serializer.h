@@ -21,7 +21,9 @@
 
 namespace scuba {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`, computed
+/// slicing-by-16. The one checksum of every WAL, snapshot, manifest and wire
+/// frame: its output is part of those formats and must never change.
 uint32_t Crc32(std::string_view data);
 
 /// FNV-1a 64-bit hash; used for the ScubaOptions fingerprint embedded in

@@ -582,9 +582,11 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
   if (resolved_ingest_threads_ <= 1 || cids.size() <= 1) {
     Stopwatch serial;
     Stopwatch lap;
-    auto take_lap = [&](double* into) {
+    // Takes a member pointer, not `&timings->field`: forming that address
+    // while `timings` is null (telemetry off) is undefined behaviour.
+    auto take_lap = [&](double PostJoinTimings::*into) {
       if (timed) {
-        *into += lap.ElapsedSeconds();
+        timings->*into += lap.ElapsedSeconds();
         lap.Start();
       }
     };
@@ -593,12 +595,12 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
       SCUBA_CHECK(cluster != nullptr);
       if (timed) lap.Start();
       cluster->RecomputeTightBounds();
-      take_lap(&timings->tighten_seconds);
+      take_lap(&PostJoinTimings::tighten_seconds);
       if (nucleus > 0.0) {
         phase_stats_.members_shed_maintenance +=
             cluster->ShedPositions(nucleus);
       }
-      take_lap(&timings->shed_seconds);
+      take_lap(&PostJoinTimings::shed_seconds);
       // Dissolve clusters that pass their destination before the next round
       // (paper: "If at time T + Delta the cluster passes its destination
       // node, the cluster gets dissolved."). Members re-cluster with their
@@ -608,17 +610,17 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
         SCUBA_RETURN_IF_ERROR(grid_.Remove(cid));
         SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cid));
         ++phase_stats_.clusters_dissolved_expired;
-        take_lap(&timings->expire_seconds);
+        take_lap(&PostJoinTimings::expire_seconds);
         continue;
       }
-      take_lap(&timings->expire_seconds);
+      take_lap(&PostJoinTimings::expire_seconds);
       // Relocate to the expected position at the next evaluation time.
       cluster->Translate(cluster->Velocity() *
                          static_cast<double>(options_.delta));
       SCUBA_RETURN_IF_ERROR(SyncClusterGrid(&grid_, cluster,
                                             options_.query_reach_aware,
                                             options_.grid_sync_padding));
-      take_lap(&timings->translate_seconds);
+      take_lap(&PostJoinTimings::translate_seconds);
     }
     *worker_seconds = serial.ElapsedSeconds();
   } else {

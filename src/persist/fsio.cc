@@ -37,6 +37,29 @@ Status WriteFileDurably(const std::string& path, const std::string& data,
   return Status::OK();
 }
 
+Result<std::string> ReadFileToString(const std::string& path,
+                                     std::string_view what) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + std::string(what) + ": " + path);
+  }
+  std::string data;
+  char buf[1 << 16];
+  for (;;) {
+    ssize_t rc = ::read(fd, buf, sizeof(buf));
+    if (rc == 0) break;
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      Status s = Status::IoError("read " + path + ": " + std::strerror(errno));
+      ::close(fd);
+      return s;
+    }
+    data.append(buf, static_cast<size_t>(rc));
+  }
+  ::close(fd);
+  return data;
+}
+
 Status SyncDirectory(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {

@@ -9,6 +9,7 @@
 #define SCUBA_PERSIST_FSIO_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -19,6 +20,12 @@ namespace scuba {
 /// simulation); npos writes everything.
 Status WriteFileDurably(const std::string& path, const std::string& data,
                         size_t length = std::string::npos);
+
+/// Reads the whole file at `path`. IoError "cannot open <what>: <path>" when
+/// it cannot be opened (`what` names the artifact, e.g. "manifest"), or with
+/// errno text when a read fails.
+Result<std::string> ReadFileToString(const std::string& path,
+                                     std::string_view what);
 
 /// fsync on a directory, making renames/creations within it durable. EINVAL
 /// (a filesystem without directory fsync) is tolerated.

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "persist/fsio.h"
 #include "common/serializer.h"
@@ -152,11 +150,9 @@ Status WriteManifestFile(const std::string& dir, const ManifestInfo& info,
 }
 
 Result<ManifestInfo> ReadManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open manifest: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = std::move(buf).str();
+  Result<std::string> file = ReadFileToString(path, "manifest");
+  if (!file.ok()) return file.status();
+  const std::string& data = *file;
   constexpr size_t kHeaderBytes =
       sizeof(kManifestMagic) + sizeof(uint32_t) + sizeof(uint64_t);
   if (data.size() < kHeaderBytes + sizeof(uint32_t)) {

@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -626,11 +624,9 @@ Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
 }
 
 Result<std::string> ReadSnapshotPayload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open snapshot: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string file = std::move(buf).str();
+  Result<std::string> read = ReadFileToString(path, "snapshot");
+  if (!read.ok()) return read.status();
+  const std::string& file = *read;
   constexpr size_t kHeader = sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
   if (file.size() < kHeader + sizeof(uint32_t)) {
     return Status::DataLoss("snapshot " + path + " is truncated (" +

@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/serializer.h"
+#include "gen/update_codec.h"
+#include "persist/fsio.h"
 
 namespace scuba {
 
@@ -30,60 +30,6 @@ std::string SegmentFileName(uint64_t first_seq) {
   std::snprintf(buf, sizeof(buf), "%s%020llu%s", kWalPrefix,
                 static_cast<unsigned long long>(first_seq), kWalSuffix);
   return buf;
-}
-
-void PutLocationUpdate(ByteWriter* w, const LocationUpdate& u) {
-  w->PutU32(u.oid);
-  w->PutDouble(u.position.x);
-  w->PutDouble(u.position.y);
-  w->PutI64(u.time);
-  w->PutDouble(u.speed);
-  w->PutU32(u.dest_node);
-  w->PutDouble(u.dest_position.x);
-  w->PutDouble(u.dest_position.y);
-  w->PutU64(u.attrs);
-}
-
-Status GetLocationUpdate(ByteReader* r, LocationUpdate* u) {
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->oid));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetI64(&u->time));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->speed));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->dest_node));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.y));
-  return r->GetU64(&u->attrs);
-}
-
-void PutQueryUpdate(ByteWriter* w, const QueryUpdate& u) {
-  w->PutU32(u.qid);
-  w->PutDouble(u.position.x);
-  w->PutDouble(u.position.y);
-  w->PutI64(u.time);
-  w->PutDouble(u.speed);
-  w->PutU32(u.dest_node);
-  w->PutDouble(u.dest_position.x);
-  w->PutDouble(u.dest_position.y);
-  w->PutDouble(u.range_width);
-  w->PutDouble(u.range_height);
-  w->PutU64(u.attrs);
-  w->PutU64(u.required_attrs);
-}
-
-Status GetQueryUpdate(ByteReader* r, QueryUpdate* u) {
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->qid));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetI64(&u->time));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->speed));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->dest_node));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->range_width));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->range_height));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&u->attrs));
-  return r->GetU64(&u->required_attrs);
 }
 
 std::string EncodeRecordPayload(uint64_t seq, Timestamp batch_time,
@@ -195,11 +141,9 @@ Status DecodeRecordPayload(std::string_view payload, WalRecord* record) {
 Status ReadSegment(const std::string& path, std::vector<WalRecord>* records,
                    size_t* torn_at, std::string* torn_detail) {
   *torn_at = std::string::npos;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open WAL segment: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = std::move(buf).str();
+  Result<std::string> file = ReadFileToString(path, "WAL segment");
+  if (!file.ok()) return file.status();
+  const std::string& data = *file;
   size_t pos = 0;
   while (pos < data.size()) {
     if (data.size() - pos < kFrameHeaderBytes) {
@@ -258,19 +202,6 @@ Status WriteAllOrError(int fd, const char* data, size_t n,
     written += static_cast<size_t>(rc);
   }
   return Status::OK();
-}
-
-Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("open dir " + dir + ": " + std::strerror(errno));
-  }
-  Status s = Status::OK();
-  if (::fsync(fd) != 0 && errno != EINVAL) {
-    s = Status::IoError("fsync dir " + dir + ": " + std::strerror(errno));
-  }
-  ::close(fd);
-  return s;
 }
 
 }  // namespace
@@ -380,11 +311,9 @@ Status TruncateWalAfter(const std::string& dir, uint64_t first_seq_to_drop) {
     }
     // The cut, if any, falls inside this segment: walk frames to find the
     // byte offset of the first record with seq >= first_seq_to_drop.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IoError("cannot open WAL segment: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string data = std::move(buf).str();
+    Result<std::string> file = ReadFileToString(path, "WAL segment");
+    if (!file.ok()) return file.status();
+    const std::string& data = *file;
     size_t pos = 0;
     size_t cut_at = std::string::npos;
     while (pos < data.size()) {
@@ -417,7 +346,7 @@ Status TruncateWalAfter(const std::string& dir, uint64_t first_seq_to_drop) {
     changed = true;
   }
   if (changed) {
-    SCUBA_RETURN_IF_ERROR(SyncDir(dir));
+    SCUBA_RETURN_IF_ERROR(SyncDirectory(dir));
   }
   return Status::OK();
 }
@@ -505,7 +434,7 @@ Status WalWriter::OpenSegment(uint64_t first_seq) {
   segment_size_ = 0;
   // Make the new segment's directory entry durable before any record relies
   // on it existing.
-  return SyncDir(dir_);
+  return SyncDirectory(dir_);
 }
 
 Status WalWriter::AppendFrame(const std::string& payload) {
@@ -591,7 +520,7 @@ Result<size_t> WalWriter::PruneSegmentsBelow(uint64_t min_seq) {
     ++removed;
   }
   if (removed > 0) {
-    SCUBA_RETURN_IF_ERROR(SyncDir(dir_));
+    SCUBA_RETURN_IF_ERROR(SyncDirectory(dir_));
   }
   return removed;
 }

@@ -1,16 +1,26 @@
 // Durability unit coverage (docs/ARCHITECTURE.md §8): serializer primitives,
-// snapshot round-trips (digest-identical restore, clean audit, fingerprint
-// gating, corruption detection) and the WAL (append/read round-trip, segment
-// rotation, torn-tail tolerance, mid-log corruption, reopen, pruning). The
-// end-to-end crash matrix lives in crash_recovery_test.cc.
+// Crc32 against a bit-at-a-time reference, snapshot round-trips
+// (digest-identical restore, clean audit, fingerprint gating, corruption
+// detection), the WAL (append/read round-trip, segment rotation, torn-tail
+// tolerance, mid-log corruption, reopen, pruning) and golden digests of every
+// checksummed format: a type-1 and a type-2 WAL frame, the snapshot file
+// framing and a serve kBatch frame. A failing golden means an on-disk or wire
+// format moved, and existing durable directories or protocol-v1 peers would
+// no longer read it. The end-to-end crash matrix lives in
+// crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,7 +29,9 @@
 #include "common/serializer.h"
 #include "persist/snapshot.h"
 #include "persist/durability.h"
+#include "persist/fsio.h"
 #include "persist/wal.h"
+#include "serve/protocol.h"
 #include "state_digest.h"
 #include "stream/update_validator.h"
 
@@ -48,6 +60,88 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// CRC-32/IEEE one bit at a time: no tables, nothing shared with Crc32.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char ch : data) {
+    crc ^= static_cast<uint8_t>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(uint64_t seed, size_t n) {
+  std::mt19937_64 gen(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(gen() & 0xFFu);
+  return out;
+}
+
+std::string Hex(std::string_view bytes) {
+  std::string out;
+  char buf[3];
+  for (char c : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<uint8_t>(c));
+    out += buf;
+  }
+  return out;
+}
+
+uint32_t U32At(const std::string& bytes, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+/// Reads a file with the standard library, independently of persist/fsio.
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Fixed tuples with non-trivial bit patterns in every field.
+LocationUpdate GoldenObject() {
+  LocationUpdate u;
+  u.oid = 4242;
+  u.position = Point{1234.5, 987.125};
+  u.time = 9;
+  u.speed = 7.75;
+  u.dest_node = 42;
+  u.dest_position = Point{9500.0, 10.0625};
+  u.attrs = 0x5u;
+  return u;
+}
+
+QueryUpdate GoldenQuery() {
+  QueryUpdate u;
+  u.qid = 77;
+  u.position = Point{1250.25, 990.5};
+  u.time = 9;
+  u.speed = 3.5;
+  u.dest_node = 17;
+  u.dest_position = Point{20.0, 8800.875};
+  u.range_width = 150.0;
+  u.range_height = 90.5;
+  u.attrs = 0x2u;
+  u.required_attrs = 0x4u;
+  return u;
+}
+
+/// The single segment file a WAL directory holds.
+std::string OnlySegmentBytes(const std::string& dir) {
+  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
+      ListWalSegments(dir);
+  EXPECT_TRUE(segments.ok()) << segments.status().ToString();
+  if (!segments.ok() || segments->size() != 1) {
+    ADD_FAILURE() << "want exactly one WAL segment in " << dir;
+    return std::string();
+  }
+  return Slurp(segments->front().second);
+}
 
 struct Round {
   std::vector<LocationUpdate> objects;
@@ -134,6 +228,31 @@ TEST(SerializerTest, Crc32MatchesKnownVectors) {
   EXPECT_NE(Crc32("123456789"), Crc32("123456788"));
 }
 
+TEST(Crc32Test, MatchesReferenceAtEveryShortLengthAndOffset) {
+  const std::string buf = RandomBytes(1, 16 + 300);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view slice = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(Crc32(slice), ReferenceCrc32(slice))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnLargeRandomBuffers) {
+  for (uint64_t seed : {2u, 3u, 4u}) {
+    const std::string buf = RandomBytes(seed, size_t{1} << 20);
+    EXPECT_EQ(Crc32(buf), ReferenceCrc32(buf)) << "seed " << seed;
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnUniformBytes) {
+  for (char fill : {'\0', '\xff', 'a'}) {
+    const std::string buf(4099, fill);
+    EXPECT_EQ(Crc32(buf), ReferenceCrc32(buf));
+  }
+}
+
 TEST(SerializerTest, Fnv1a64MatchesKnownVectors) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);  // offset basis
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
@@ -189,6 +308,33 @@ TEST(SerializerTest, OverlongStringLengthIsDataLoss) {
   ByteReader r(w.bytes());
   std::string s;
   EXPECT_TRUE(r.GetString(&s).IsDataLoss());
+}
+
+// ---------------------------------------------------------------------------
+// Whole-file reads.
+
+TEST(FsioTest, ReadFileToStringReturnsEveryByte) {
+  ScopedTempDir dir("persist_test_read_file");
+  const std::string path = dir.path() + "/blob";
+  std::string blob(200000, '\0');
+  for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<char>(i * 7);
+  ASSERT_TRUE(WriteFileDurably(path, blob).ok());
+  Result<std::string> read = ReadFileToString(path, "blob");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, blob);
+
+  ASSERT_TRUE(WriteFileDurably(path, "").ok());
+  read = ReadFileToString(path, "blob");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->empty());
+}
+
+TEST(FsioTest, ReadFileToStringNamesTheArtifactWhenMissing) {
+  ScopedTempDir dir("persist_test_read_missing");
+  const std::string path = dir.path() + "/absent";
+  Result<std::string> read = ReadFileToString(path, "manifest");
+  EXPECT_TRUE(read.status().IsIoError()) << read.status().ToString();
+  EXPECT_EQ(read.status().message(), "cannot open manifest: " + path);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,6 +796,120 @@ TEST(WalTest, PruneRemovesOnlyFullyCoveredSegments) {
   for (size_t i = 1; i < wal->records.size(); ++i) {
     EXPECT_EQ(wal->records[i].seq, wal->records[i - 1].seq + 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden formats. The stored CRC field is pinned apart from the whole-file
+// digest, so a checksum change and a layout change fail distinguishably.
+
+TEST(GoldenFormatTest, WalBatchFrame) {
+  ScopedTempDir dir("persist_test_golden_wal_batch");
+  {
+    Result<std::unique_ptr<WalWriter>> writer =
+        WalWriter::Open(dir.path(), /*segment_bytes=*/1 << 20,
+                        /*initial_seq=*/7, /*crash=*/nullptr);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    const std::vector<LocationUpdate> objects = {GoldenObject()};
+    const std::vector<QueryUpdate> queries = {GoldenQuery()};
+    ASSERT_TRUE((*writer)->Append(/*batch_time=*/9, /*evaluate_after=*/true,
+                                  objects, queries)
+                    .ok());
+  }
+  const std::string bytes = OnlySegmentBytes(dir.path());
+  ASSERT_EQ(bytes.size(), 194u) << Hex(bytes);
+  EXPECT_EQ(U32At(bytes, 0), 186u);
+  EXPECT_EQ(U32At(bytes, 4), 0xB5C25E10u) << Hex(bytes);
+  EXPECT_EQ(Fnv1a64(bytes), 0xCC871851254EAACBull) << Hex(bytes);
+}
+
+TEST(GoldenFormatTest, WalRoutedFrame) {
+  ScopedTempDir dir("persist_test_golden_wal_routed");
+  {
+    Result<std::unique_ptr<WalWriter>> writer =
+        WalWriter::Open(dir.path(), /*segment_bytes=*/1 << 20,
+                        /*initial_seq=*/12, /*crash=*/nullptr);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    const std::vector<uint64_t> object_slots = {2};
+    const std::vector<LocationUpdate> objects = {GoldenObject()};
+    const std::vector<uint64_t> query_slots = {0};
+    const std::vector<QueryUpdate> queries = {GoldenQuery()};
+    ASSERT_TRUE((*writer)
+                    ->AppendRouted(/*batch_time=*/10, /*evaluate_after=*/false,
+                                   /*shard_index=*/1, /*shard_count=*/4,
+                                   /*total_objects=*/3, /*total_queries=*/2,
+                                   object_slots, objects, query_slots, queries)
+                    .ok());
+  }
+  const std::string bytes = OnlySegmentBytes(dir.path());
+  ASSERT_EQ(bytes.size(), 234u) << Hex(bytes);
+  EXPECT_EQ(U32At(bytes, 0), 226u);
+  EXPECT_EQ(U32At(bytes, 4), 0xDDA89F0Bu) << Hex(bytes);
+  EXPECT_EQ(Fnv1a64(bytes), 0x871B5395BC1B2187ull) << Hex(bytes);
+}
+
+TEST(GoldenFormatTest, SnapshotFileFraming) {
+  ScopedTempDir dir("persist_test_golden_snapshot_framing");
+  const std::string payload = "SCUBA snapshot framing golden payload";
+  uint64_t written = 0;
+  ASSERT_TRUE(WriteSnapshotFile(dir.path(), /*wal_next_seq=*/5, payload,
+                                /*crash=*/nullptr, &written)
+                  .ok());
+  const std::string bytes =
+      Slurp((fs::path(dir.path()) / SnapshotFileName(5)).string());
+  ASSERT_EQ(bytes.size(), 20u + payload.size() + 4u);
+  EXPECT_EQ(written, bytes.size());
+  // magic "SCUBSNP1" | version u32 | payload_len u64.
+  EXPECT_EQ(Hex(std::string_view(bytes).substr(0, 20)),
+            "53435542534e5031"           // SCUBSNP1
+            "01000000"                   // version 1
+            "2500000000000000");         // 37 payload bytes
+  EXPECT_EQ(std::string_view(bytes).substr(20, payload.size()), payload);
+  EXPECT_EQ(U32At(bytes, 20 + payload.size()), 0x03499558u);
+}
+
+TEST(GoldenFormatTest, FreshEngineSnapshotFile) {
+  ScopedTempDir dir("persist_test_golden_snapshot_engine");
+  Result<std::unique_ptr<ScubaEngine>> engine =
+      ScubaEngine::Create(ScubaOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::string payload = SerializeEngineSnapshot(
+      **engine, /*wal_next_seq=*/3, /*validator=*/nullptr, /*rng=*/nullptr);
+  ASSERT_TRUE(WriteSnapshotFile(dir.path(), 3, payload, /*crash=*/nullptr,
+                                /*bytes_written=*/nullptr)
+                  .ok());
+  const std::string bytes =
+      Slurp((fs::path(dir.path()) / SnapshotFileName(3)).string());
+  ASSERT_EQ(bytes.size(), 502u) << Hex(bytes);
+  EXPECT_EQ(U32At(bytes, bytes.size() - 4), 0x39E1D61Cu) << Hex(bytes);
+  EXPECT_EQ(Fnv1a64(bytes), 0x521BE43A37C98650ull) << Hex(bytes);
+}
+
+TEST(GoldenFormatTest, ServeBatchFrame) {
+  serve::UpdateBatchMsg msg;
+  msg.time = 9;
+  msg.evaluate = true;
+  msg.objects = {GoldenObject()};
+  msg.queries = {GoldenQuery()};
+  Result<std::string> frame = serve::EncodeFrame(serve::EncodeUpdateBatch(msg));
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const std::string& bytes = *frame;
+  ASSERT_EQ(bytes.size(), 186u) << Hex(bytes);
+  EXPECT_EQ(U32At(bytes, 0), 178u);
+  EXPECT_EQ(U32At(bytes, 4), 0xBCCF6995u) << Hex(bytes);
+  EXPECT_EQ(Fnv1a64(bytes), 0xE494DD6004BA1D33ull) << Hex(bytes);
+
+  // And the pinned bytes still decode to the message.
+  serve::FrameDecoder decoder;
+  decoder.Append(bytes);
+  std::string payload;
+  Result<bool> next = decoder.Next(&payload);
+  ASSERT_TRUE(next.ok() && *next) << next.status().ToString();
+  serve::UpdateBatchMsg decoded;
+  ASSERT_TRUE(serve::DecodeUpdateBatch(payload, &decoded).ok());
+  ASSERT_EQ(decoded.objects.size(), 1u);
+  ASSERT_EQ(decoded.queries.size(), 1u);
+  EXPECT_EQ(decoded.objects[0].ToString(), GoldenObject().ToString());
+  EXPECT_EQ(decoded.queries[0].ToString(), GoldenQuery().ToString());
 }
 
 }  // namespace
