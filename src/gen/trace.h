@@ -9,6 +9,7 @@
 #define SCUBA_GEN_TRACE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,9 +40,13 @@ class Trace {
 
   size_t EstimateMemoryUsage() const;
 
-  /// Line-oriented text serialization (round-trips through Parse).
+  /// Line-oriented text serialization (round-trips through Parse, bit for
+  /// bit; format in docs/ARCHITECTURE.md §4.1).
   std::string Serialize() const;
-  static Result<Trace> Parse(const std::string& text);
+  /// Parses Serialize's text. Corruption, naming the line, on a missing or
+  /// wrong header, an update before the first tick, a malformed, missing,
+  /// out-of-range or extra field, or an unknown record kind.
+  static Result<Trace> Parse(std::string_view text);
 
  private:
   std::vector<TickBatch> batches_;

@@ -37,12 +37,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +60,7 @@
 #include "persist/crash.h"
 #include "persist/durability.h"
 #include "persist/fsck.h"
+#include "persist/fsio.h"
 #include "persist/snapshot.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -142,19 +143,13 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 /// Data region derived from the trace contents (+ margin for query ranges).
+/// Non-finite positions (a corrupted trace) are skipped.
 Rect RegionFromTrace(const Trace& trace, double margin = 300.0) {
   Rect box{0, 0, 0, 0};
   bool first = true;
   auto extend = [&](Point p) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return;
     Rect r{p.x, p.y, p.x, p.y};
     box = first ? r : Union(box, r);
     first = false;
@@ -238,7 +233,7 @@ int CmdGenerateTrace(const Flags& flags) {
 }
 
 Result<Trace> LoadTrace(const std::string& path) {
-  Result<std::string> text = ReadFile(path);
+  Result<std::string> text = ReadFileToString(path, "trace");
   if (!text.ok()) return text.status();
   return Trace::Parse(*text);
 }
@@ -659,9 +654,6 @@ int CmdCorruptTrace(const Flags& flags) {
 
   FaultPlan plan = FaultPlan::AllFaults(rate, RegionFromTrace(*trace, 0.0),
                                         /*node_count=*/0);
-  // NaN/Inf do not round-trip through the text trace format, so the
-  // serialized corruption sticks to representable fault classes.
-  plan.corrupt_coordinate = 0.0;
   plan.burst_size = burst_size;
   FaultInjector injector(plan, seed);
 
@@ -960,7 +952,7 @@ int CmdServeReplay(const Flags& flags) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(15);
     while (true) {
-      Result<std::string> text = ReadFile(port_file);
+      Result<std::string> text = ReadFileToString(port_file, "port file");
       if (text.ok() && !text->empty()) {
         port = std::atoi(text->c_str());
         if (port > 0) break;
