@@ -1,14 +1,9 @@
 #include "cluster/leader_follower.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstddef>
-#include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 
 namespace scuba {
 
@@ -20,15 +15,15 @@ LeaderFollowerClusterer::LeaderFollowerClusterer(const ClustererOptions& options
   SCUBA_CHECK(options.theta_d >= 0.0 && options.theta_s >= 0.0);
 }
 
-bool PlanClusterGridSync(const GridIndex& grid, MovingCluster* cluster,
-                         bool use_join_bounds, double padding,
-                         Circle* padded_out) {
-  Circle needed = use_join_bounds ? cluster->JoinBounds() : cluster->Bounds();
-  if (grid.Contains(cluster->cid()) &&
-      ContainsCircle(cluster->registered_bounds(), needed)) {
+bool PlanGridRegistration(MovingCluster* cluster, bool registered,
+                          bool use_join_bounds, double padding,
+                          Circle* padded_out) {
+  const Circle needed =
+      use_join_bounds ? cluster->JoinBounds() : cluster->Bounds();
+  if (registered && ContainsCircle(cluster->registered_bounds(), needed)) {
     return false;  // still covered by the previous registration
   }
-  Circle padded{needed.center, needed.radius + padding};
+  const Circle padded{needed.center, needed.radius + padding};
   cluster->set_registered_bounds(padded);
   *padded_out = padded;
   return true;
@@ -36,13 +31,14 @@ bool PlanClusterGridSync(const GridIndex& grid, MovingCluster* cluster,
 
 Status SyncClusterGrid(GridIndex* grid, MovingCluster* cluster,
                        bool use_join_bounds, double padding) {
-  bool was_registered = grid->Contains(cluster->cid());
+  const bool registered = grid->Contains(cluster->cid());
   Circle padded;
-  if (!PlanClusterGridSync(*grid, cluster, use_join_bounds, padding, &padded)) {
+  if (!PlanGridRegistration(cluster, registered, use_join_bounds, padding,
+                            &padded)) {
     return Status::OK();
   }
-  return was_registered ? grid->Update(cluster->cid(), padded)
-                        : grid->Insert(cluster->cid(), padded);
+  return registered ? grid->Update(cluster->cid(), padded)
+                    : grid->Insert(cluster->cid(), padded);
 }
 
 Status LeaderFollowerClusterer::SyncGrid(MovingCluster* cluster) {
@@ -169,254 +165,6 @@ Status LeaderFollowerClusterer::ProcessObjectUpdate(const LocationUpdate& u) {
 
 Status LeaderFollowerClusterer::ProcessQueryUpdate(const QueryUpdate& u) {
   return ProcessUpdate(EntityKind::kQuery, nullptr, &u);
-}
-
-namespace {
-
-/// One update of a batch, in serial delivery order (objects before queries).
-struct BatchItem {
-  EntityKind kind = EntityKind::kObject;
-  const LocationUpdate* obj = nullptr;
-  const QueryUpdate* qry = nullptr;
-  EntityRef ref;
-  Point position;
-  ClusterId home = kInvalidClusterId;  ///< Pre-batch home (phase A output).
-  bool residual = false;               ///< Replays the per-update path.
-};
-
-/// Refresh simulation for one home cluster (phase A work unit).
-struct ClusterShard {
-  ClusterId cid = kInvalidClusterId;
-  std::vector<size_t> item_indices;      ///< Batch positions, ascending.
-  std::optional<MovingCluster> sim;      ///< Private copy holding the result.
-  std::vector<uint32_t> cells_union;     ///< Every cell occupied mid-batch.
-  Circle final_registration;             ///< Last planned grid circle.
-  bool resync = false;                   ///< Grid registration changed.
-  bool passed = false;                   ///< Every refresh admitted cleanly.
-  bool eligible = false;                 ///< passed && unobservable by residuals.
-  uint64_t refreshed = 0;
-  uint64_t shed = 0;
-};
-
-}  // namespace
-
-Status LeaderFollowerClusterer::ProcessBatch(
-    std::span<const LocationUpdate> objects,
-    std::span<const QueryUpdate> queries, ThreadPool* pool, uint32_t tasks,
-    double* worker_seconds, IngestPhaseTimings* timings) {
-  if (worker_seconds != nullptr) *worker_seconds = 0.0;
-  if (tasks <= 1 || pool == nullptr || objects.size() + queries.size() <= 1) {
-    Stopwatch serial;
-    for (const LocationUpdate& u : objects) {
-      SCUBA_RETURN_IF_ERROR(ProcessObjectUpdate(u));
-    }
-    for (const QueryUpdate& u : queries) {
-      SCUBA_RETURN_IF_ERROR(ProcessQueryUpdate(u));
-    }
-    const double elapsed = serial.ElapsedSeconds();
-    if (worker_seconds != nullptr) *worker_seconds = elapsed;
-    if (timings != nullptr) timings->apply_seconds += elapsed;
-    return Status::OK();
-  }
-  Stopwatch phase_sw;
-
-  std::vector<BatchItem> items;
-  items.reserve(objects.size() + queries.size());
-  for (const LocationUpdate& u : objects) {
-    BatchItem it;
-    it.kind = EntityKind::kObject;
-    it.obj = &u;
-    it.ref = EntityRef{EntityKind::kObject, u.oid};
-    it.position = u.position;
-    items.push_back(it);
-  }
-  for (const QueryUpdate& u : queries) {
-    BatchItem it;
-    it.kind = EntityKind::kQuery;
-    it.qry = &u;
-    it.ref = EntityRef{EntityKind::kQuery, u.qid};
-    it.position = u.position;
-    items.push_back(it);
-  }
-
-  // ---- Phase A1 (parallel, read-only): resolve each update's pre-batch home
-  // cluster and the grid cells its re-cluster probe would read.
-  std::vector<std::vector<uint32_t>> probe_cells(items.size());
-  {
-    std::atomic<size_t> cursor{0};
-    constexpr size_t kChunk = 256;
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(pool, tasks, [&](uint32_t) {
-      for (;;) {
-        size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= items.size()) break;
-        size_t end = std::min(items.size(), begin + kChunk);
-        for (size_t i = begin; i < end; ++i) {
-          BatchItem& it = items[i];
-          it.home = store_->HomeOf(it.ref);
-          if (!options_.probe_theta_d_disk) {
-            probe_cells[i].push_back(grid_->CellIndexOf(it.position));
-          } else {
-            Rect probe{it.position.x - options_.theta_d,
-                       it.position.y - options_.theta_d,
-                       it.position.x + options_.theta_d,
-                       it.position.y + options_.theta_d};
-            grid_->CellsForRect(probe, &probe_cells[i]);
-          }
-        }
-      }
-    }, worker_seconds));
-  }
-
-  // Group refresh candidates by home cluster, preserving batch order inside
-  // each group. Homeless updates go straight to the residual replay. Items of
-  // one entity always share a group (they share the pre-batch home map), so
-  // replays of the same entity keep their relative order.
-  std::vector<ClusterShard> shards;
-  std::unordered_map<ClusterId, size_t> shard_of;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].home == kInvalidClusterId) {
-      items[i].residual = true;
-      continue;
-    }
-    auto [it, inserted] = shard_of.emplace(items[i].home, shards.size());
-    if (inserted) {
-      shards.emplace_back();
-      shards.back().cid = items[i].home;
-    }
-    shards[it->second].item_indices.push_back(i);
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const ClusterShard& a, const ClusterShard& b) {
-              return a.cid < b.cid;
-            });
-
-  // ---- Phase A2 (parallel): simulate each home cluster's refresh sequence
-  // on a private copy. Any failed admission test demotes the whole cluster to
-  // the residual replay — its live state stays untouched.
-  {
-    std::atomic<size_t> cursor{0};
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(pool, tasks, [&](uint32_t) {
-      for (;;) {
-        size_t s = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (s >= shards.size()) break;
-        ClusterShard& shard = shards[s];
-        const MovingCluster* live = store_->GetCluster(shard.cid);
-        SCUBA_CHECK_MSG(live != nullptr,
-                        "ClusterHome points at a missing cluster");
-        const std::vector<uint32_t>* cells0 = grid_->CellsOf(shard.cid);
-        if (cells0 == nullptr) continue;  // unregistered: replay serially
-        shard.cells_union = *cells0;
-        shard.sim.emplace(*live);
-        MovingCluster& sim = *shard.sim;
-        bool ok = true;
-        for (size_t idx : shard.item_indices) {
-          const BatchItem& it = items[idx];
-          const double speed = it.obj != nullptr ? it.obj->speed
-                                                 : it.qry->speed;
-          const NodeId dest = it.obj != nullptr ? it.obj->dest_node
-                                                : it.qry->dest_node;
-          if (!sim.SatisfiesJoinConditions(it.position, speed, dest,
-                                           options_.theta_d,
-                                           options_.theta_s)) {
-            ok = false;  // serial execution would depart here
-            break;
-          }
-          Status refresh = it.obj != nullptr ? sim.UpdateObjectMember(*it.obj)
-                                             : sim.UpdateQueryMember(*it.qry);
-          if (!refresh.ok()) {
-            ok = false;
-            break;
-          }
-          ++shard.refreshed;
-          if (nucleus_radius_ > 0.0 &&
-              sim.ShedMemberIfInNucleus(it.ref, nucleus_radius_)) {
-            ++shard.shed;
-          }
-          Circle padded;
-          if (PlanClusterGridSync(*grid_, &sim, options_.register_join_bounds,
-                                  options_.grid_sync_padding, &padded)) {
-            shard.resync = true;
-            shard.final_registration = padded;
-            grid_->CellsForCircle(padded, &shard.cells_union);
-          }
-        }
-        shard.passed = ok;
-        if (ok) {
-          std::sort(shard.cells_union.begin(), shard.cells_union.end());
-          shard.cells_union.erase(std::unique(shard.cells_union.begin(),
-                                              shard.cells_union.end()),
-                                  shard.cells_union.end());
-        }
-      }
-    }, worker_seconds));
-  }
-
-  // ---- Eligibility (serial): a simulated cluster may publish only if no
-  // cell it ever occupies during the batch is probed by a residual update —
-  // then no residual replay can observe it (neither as a probe candidate nor
-  // as an absorb target), so publishing before the replay is equivalent to
-  // the serial interleaving. Demoted clusters create no new probe threats:
-  // their refreshes pass admission in serial execution too and never probe.
-  for (ClusterShard& shard : shards) {
-    if (shard.passed) continue;
-    for (size_t idx : shard.item_indices) items[idx].residual = true;
-  }
-  std::vector<char> threat(grid_->CellCount(), 0);
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (!items[i].residual) continue;
-    for (uint32_t cell : probe_cells[i]) threat[cell] = 1;
-  }
-  for (ClusterShard& shard : shards) {
-    if (!shard.passed) continue;
-    shard.eligible = true;
-    for (uint32_t cell : shard.cells_union) {
-      if (threat[cell] != 0) {
-        shard.eligible = false;
-        break;
-      }
-    }
-    if (!shard.eligible) {
-      for (size_t idx : shard.item_indices) items[idx].residual = true;
-    }
-  }
-
-  if (timings != nullptr) {
-    timings->classify_seconds += phase_sw.ElapsedSeconds();
-    phase_sw.Start();
-  }
-
-  // ---- Phase B (serial). Attribute-table upserts first: nothing reads the
-  // tables mid-batch, and per-entity last-writer order matches delivery
-  // order. The residual replay below harmlessly re-upserts its subset.
-  for (const BatchItem& it : items) {
-    if (it.obj != nullptr) {
-      store_->UpsertObjectAttrs(it.obj->oid, it.obj->attrs);
-    } else {
-      store_->UpsertQueryAttrs(it.qry->qid, it.qry->attrs);
-    }
-  }
-
-  // Publish eligible clusters in ascending cid order (shards are sorted).
-  for (ClusterShard& shard : shards) {
-    if (!shard.eligible) continue;
-    MovingCluster* live = store_->GetCluster(shard.cid);
-    *live = std::move(*shard.sim);
-    stats_.members_refreshed += shard.refreshed;
-    stats_.members_shed += shard.shed;
-    if (shard.resync) {
-      SCUBA_RETURN_IF_ERROR(grid_->Update(shard.cid, shard.final_registration));
-    }
-  }
-
-  // Replay everything else through the exact per-update path in batch order.
-  // New-cluster ids are allocated only here, so the allocation sequence is
-  // identical to serial execution.
-  for (const BatchItem& it : items) {
-    if (!it.residual) continue;
-    SCUBA_RETURN_IF_ERROR(ProcessUpdate(it.kind, it.obj, it.qry));
-  }
-  if (timings != nullptr) timings->apply_seconds += phase_sw.ElapsedSeconds();
-  return Status::OK();
 }
 
 }  // namespace scuba

@@ -63,10 +63,6 @@ struct EngineSnapshotStats {
   double JoinParallelSpeedup() const;
   /// Parallel efficiency in [0, 1]: JoinParallelSpeedup / join_threads.
   double JoinParallelEfficiency() const;
-  /// Realized batched-ingest speedup (0 when no ingest time was recorded).
-  double IngestParallelSpeedup() const;
-  /// Realized post-join maintenance speedup (0 when none was recorded).
-  double PostJoinParallelSpeedup() const;
 };
 
 }  // namespace scuba

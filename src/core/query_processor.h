@@ -44,11 +44,10 @@ struct EvalStats {
   uint32_t join_threads = 1;
   double last_join_worker_seconds = 0.0;
   double total_join_worker_seconds = 0.0;
-  /// Parallel ingest/maintenance: worker tasks batched ingestion and
-  /// post-join maintenance fan out to (1 = serial). The maintenance total
-  /// above is the sum of the ingest and post-join wall components below;
-  /// *_worker_seconds are the summed per-task busy times, mirroring the join
-  /// accounting.
+  /// Ingest / post-join split of the maintenance total above. Both phases
+  /// are serial: ingest_threads always reads 1 and each *_worker_seconds
+  /// equals its wall time. The fields stay so the snapshot byte layout (and
+  /// older durable directories) are unchanged.
   uint32_t ingest_threads = 1;
   double last_ingest_seconds = 0.0;
   double total_ingest_seconds = 0.0;
@@ -101,8 +100,8 @@ class QueryProcessor {
 
   /// Absorbs one tick's worth of updates at once — all objects, then all
   /// queries, semantically equivalent to the per-update calls in that order.
-  /// Engines with a parallel ingest path override this; the default just
-  /// loops.
+  /// The SCUBA engines override this to screen the whole batch before
+  /// ingesting any of it; the default just loops.
   virtual Status IngestBatch(std::span<const LocationUpdate> objects,
                              std::span<const QueryUpdate> queries) {
     for (const LocationUpdate& u : objects) {

@@ -1,7 +1,6 @@
 #include "core/scuba_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -248,21 +247,9 @@ ScubaEngine::ScubaEngine(const ScubaOptions& options, GridIndex grid)
                            options.grid_sync_padding},
           &store_, &grid_),
       shedder_(options.shedding, options.theta_d),
-      join_executor_(options.query_reach_aware, options.join_threads),
-      resolved_ingest_threads_(options.ingest_threads == 0
-                                   ? ThreadPool::DefaultThreadCount()
-                                   : options.ingest_threads) {
+      join_executor_(options.query_reach_aware, options.join_threads) {
   stats_.join_threads = join_executor_.resolved_threads();
-  stats_.ingest_threads = resolved_ingest_threads_;
   clusterer_.set_nucleus_radius(shedder_.nucleus_radius());
-}
-
-ThreadPool* ScubaEngine::IngestPool() {
-  if (resolved_ingest_threads_ <= 1) return nullptr;
-  if (ingest_pool_ == nullptr) {
-    ingest_pool_ = std::make_unique<ThreadPool>(resolved_ingest_threads_);
-  }
-  return ingest_pool_.get();
 }
 
 Status ScubaEngine::IngestObjectUpdate(const LocationUpdate& update) {
@@ -276,7 +263,6 @@ Status ScubaEngine::IngestObjectUpdate(const LocationUpdate& update) {
   Status s = clusterer_.ProcessObjectUpdate(update);
   const double elapsed = sw.ElapsedSeconds();
   pending_prejoin_seconds_ += elapsed;
-  pending_prejoin_worker_seconds_ += elapsed;  // serial: busy == wall
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
     tc.Accumulate(tc.EnsureSpan(tc.root(), "ingest"), elapsed);
@@ -295,7 +281,6 @@ Status ScubaEngine::IngestQueryUpdate(const QueryUpdate& update) {
   Status s = clusterer_.ProcessQueryUpdate(update);
   const double elapsed = sw.ElapsedSeconds();
   pending_prejoin_seconds_ += elapsed;
-  pending_prejoin_worker_seconds_ += elapsed;  // serial: busy == wall
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
     tc.Accumulate(tc.EnsureSpan(tc.root(), "ingest"), elapsed);
@@ -305,57 +290,27 @@ Status ScubaEngine::IngestQueryUpdate(const QueryUpdate& update) {
 
 Status ScubaEngine::IngestBatch(std::span<const LocationUpdate> objects,
                                 std::span<const QueryUpdate> queries) {
-  size_t bad = 0;
-  Status first_bad = Status::OK();
-  for (const LocationUpdate& u : objects) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
+  ScreenedBatch batch;
+  SCUBA_RETURN_IF_ERROR(
+      ScreenEngineBatch(objects, queries, options_.on_bad_update, &batch));
+  stats_.updates_quarantined += batch.dropped;
+  auto ingest = [&]() -> Status {
+    for (const LocationUpdate& u : batch.objects) {
+      SCUBA_RETURN_IF_ERROR(clusterer_.ProcessObjectUpdate(u));
     }
-  }
-  for (const QueryUpdate& u : queries) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
+    for (const QueryUpdate& u : batch.queries) {
+      SCUBA_RETURN_IF_ERROR(clusterer_.ProcessQueryUpdate(u));
     }
-  }
-  // Under non-strict policies the invalid tuples are dropped before the
-  // parallel classification, so the batch quarantines exactly the tuples the
-  // per-update path would skip — the bit-identity contract between the two
-  // ingest paths extends to dirty streams. The clean-batch fast path keeps
-  // working off the caller's spans with no copy.
-  std::vector<LocationUpdate> kept_objects;
-  std::vector<QueryUpdate> kept_queries;
-  if (bad > 0) {
-    if (options_.on_bad_update == BadUpdatePolicy::kStrict) return first_bad;
-    stats_.updates_quarantined += bad;
-    kept_objects.reserve(objects.size());
-    for (const LocationUpdate& u : objects) {
-      if (ValidateUpdate(u).ok()) kept_objects.push_back(u);
-    }
-    kept_queries.reserve(queries.size());
-    for (const QueryUpdate& u : queries) {
-      if (ValidateUpdate(u).ok()) kept_queries.push_back(u);
-    }
-    objects = kept_objects;
-    queries = kept_queries;
-  }
+    return Status::OK();
+  };
   TelemetryEnsureRound();
   Stopwatch sw;
-  double worker = 0.0;
-  IngestPhaseTimings phases;
-  Status s = clusterer_.ProcessBatch(objects, queries, IngestPool(),
-                                     resolved_ingest_threads_, &worker,
-                                     telemetry_ != nullptr ? &phases : nullptr);
-  const double wall = sw.ElapsedSeconds();
-  pending_prejoin_seconds_ += wall;
-  pending_prejoin_worker_seconds_ += worker;
+  Status s = ingest();
+  const double elapsed = sw.ElapsedSeconds();
+  pending_prejoin_seconds_ += elapsed;
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
-    const int32_t ingest = tc.EnsureSpan(tc.root(), "ingest");
-    tc.Accumulate(ingest, wall, worker);
-    tc.Accumulate(tc.EnsureSpan(ingest, "classify"), phases.classify_seconds);
-    tc.Accumulate(tc.EnsureSpan(ingest, "apply"), phases.apply_seconds);
+    tc.Accumulate(tc.EnsureSpan(tc.root(), "ingest"), elapsed);
   }
   return s;
 }
@@ -402,28 +357,28 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
   }
 
   // *** Phase 3: cluster post-join maintenance. ***
+  // Both maintenance phases are serial, so their worker time is wall time.
   Stopwatch maint_sw;
-  double postjoin_worker = 0.0;
   PostJoinTimings postjoin_timings;
   Status s = PostJoinMaintenance(
-      now, &postjoin_worker, telemetry_ != nullptr ? &postjoin_timings : nullptr);
+      now, telemetry_ != nullptr ? &postjoin_timings : nullptr);
   stats_.last_postjoin_seconds = maint_sw.ElapsedSeconds();
   stats_.total_postjoin_seconds += stats_.last_postjoin_seconds;
-  stats_.last_postjoin_worker_seconds = postjoin_worker;
-  stats_.total_postjoin_worker_seconds += postjoin_worker;
+  stats_.last_postjoin_worker_seconds = stats_.last_postjoin_seconds;
+  stats_.total_postjoin_worker_seconds += stats_.last_postjoin_seconds;
   stats_.last_ingest_seconds = pending_prejoin_seconds_;
   stats_.total_ingest_seconds += pending_prejoin_seconds_;
-  stats_.last_ingest_worker_seconds = pending_prejoin_worker_seconds_;
-  stats_.total_ingest_worker_seconds += pending_prejoin_worker_seconds_;
+  stats_.last_ingest_worker_seconds = pending_prejoin_seconds_;
+  stats_.total_ingest_worker_seconds += pending_prejoin_seconds_;
   stats_.last_maintenance_seconds =
       stats_.last_ingest_seconds + stats_.last_postjoin_seconds;
   stats_.total_maintenance_seconds += stats_.last_maintenance_seconds;
   pending_prejoin_seconds_ = 0.0;
-  pending_prejoin_worker_seconds_ = 0.0;
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
     const int32_t pj = tc.EnsureSpan(tc.root(), "postjoin");
-    tc.Accumulate(pj, stats_.last_postjoin_seconds, postjoin_worker);
+    tc.Accumulate(pj, stats_.last_postjoin_seconds,
+                  stats_.last_postjoin_seconds);
     tc.Accumulate(tc.EnsureSpan(pj, "tighten"),
                   postjoin_timings.tighten_seconds);
     tc.Accumulate(tc.EnsureSpan(pj, "shed"), postjoin_timings.shed_seconds);
@@ -567,143 +522,54 @@ Status ScubaEngine::SplitOversizedClusters() {
   return Status::OK();
 }
 
-Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
+Status ScubaEngine::PostJoinMaintenance(Timestamp now,
                                         PostJoinTimings* timings) {
-  *worker_seconds = 0.0;
   if (options_.enable_cluster_splitting) {
     SCUBA_RETURN_IF_ERROR(SplitOversizedClusters());
   }
-  // Collect ids first; dissolution mutates the store. Sorted so the serial
-  // and sharded paths walk the exact same sequence.
+  // Collect ids first; dissolution mutates the store.
   const std::vector<ClusterId> cids = store_.SortedClusterIds();
   const double nucleus = shedder_.nucleus_radius();
   const bool timed = timings != nullptr;
-
-  if (resolved_ingest_threads_ <= 1 || cids.size() <= 1) {
-    Stopwatch serial;
-    Stopwatch lap;
-    // Takes a member pointer, not `&timings->field`: forming that address
-    // while `timings` is null (telemetry off) is undefined behaviour.
-    auto take_lap = [&](double PostJoinTimings::*into) {
-      if (timed) {
-        timings->*into += lap.ElapsedSeconds();
-        lap.Start();
-      }
-    };
-    for (ClusterId cid : cids) {
-      MovingCluster* cluster = store_.GetCluster(cid);
-      SCUBA_CHECK(cluster != nullptr);
-      if (timed) lap.Start();
-      cluster->RecomputeTightBounds();
-      take_lap(&PostJoinTimings::tighten_seconds);
-      if (nucleus > 0.0) {
-        phase_stats_.members_shed_maintenance +=
-            cluster->ShedPositions(nucleus);
-      }
-      take_lap(&PostJoinTimings::shed_seconds);
-      // Dissolve clusters that pass their destination before the next round
-      // (paper: "If at time T + Delta the cluster passes its destination
-      // node, the cluster gets dissolved."). Members re-cluster with their
-      // next updates.
-      Timestamp expiry = cluster->ComputeExpiryTime(now);
-      if (expiry <= now + options_.delta) {
-        SCUBA_RETURN_IF_ERROR(grid_.Remove(cid));
-        SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cid));
-        ++phase_stats_.clusters_dissolved_expired;
-        take_lap(&PostJoinTimings::expire_seconds);
-        continue;
-      }
-      take_lap(&PostJoinTimings::expire_seconds);
-      // Relocate to the expected position at the next evaluation time.
-      cluster->Translate(cluster->Velocity() *
-                         static_cast<double>(options_.delta));
-      SCUBA_RETURN_IF_ERROR(SyncClusterGrid(&grid_, cluster,
-                                            options_.query_reach_aware,
-                                            options_.grid_sync_padding));
-      take_lap(&PostJoinTimings::translate_seconds);
-    }
-    *worker_seconds = serial.ElapsedSeconds();
-  } else {
-    // Sharded upkeep: each task pulls cluster chunks and runs the purely
-    // per-cluster work (tighten, shed, expiry check, translate, grid-sync
-    // planning) on the live cluster — clusters are disjoint, the store and
-    // grid are only read. Dissolutions and re-registrations are recorded per
-    // cluster and applied below in ascending cid order, which is exactly the
-    // serial loop's mutation sequence.
-    struct Outcome {
-      uint64_t shed = 0;
-      bool dissolve = false;
-      bool resync = false;
-      Circle registration;
-    };
-    std::vector<Outcome> outcomes(cids.size());
-    std::vector<PostJoinTimings> task_timings(
-        timed ? resolved_ingest_threads_ : 0);
-    std::atomic<size_t> cursor{0};
-    constexpr size_t kChunk = 16;
-    *worker_seconds = 0.0;
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(
-        IngestPool(), resolved_ingest_threads_, [&](uint32_t task) {
-          PostJoinTimings* tt = timed ? &task_timings[task] : nullptr;
-          Stopwatch lap;
-          for (;;) {
-            size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
-            if (begin >= cids.size()) break;
-            size_t end = std::min(cids.size(), begin + kChunk);
-            for (size_t i = begin; i < end; ++i) {
-              MovingCluster* cluster = store_.GetCluster(cids[i]);
-              SCUBA_CHECK(cluster != nullptr);
-              Outcome& out = outcomes[i];
-              if (tt != nullptr) lap.Start();
-              cluster->RecomputeTightBounds();
-              if (tt != nullptr) {
-                tt->tighten_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              if (nucleus > 0.0) out.shed = cluster->ShedPositions(nucleus);
-              if (tt != nullptr) {
-                tt->shed_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              if (cluster->ComputeExpiryTime(now) <= now + options_.delta) {
-                out.dissolve = true;
-                if (tt != nullptr) tt->expire_seconds += lap.ElapsedSeconds();
-                continue;
-              }
-              if (tt != nullptr) {
-                tt->expire_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              cluster->Translate(cluster->Velocity() *
-                                 static_cast<double>(options_.delta));
-              out.resync = PlanClusterGridSync(
-                  grid_, cluster, options_.query_reach_aware,
-                  options_.grid_sync_padding, &out.registration);
-              if (tt != nullptr) tt->translate_seconds += lap.ElapsedSeconds();
-            }
-          }
-        }, worker_seconds));
+  Stopwatch lap;
+  // Takes a member pointer, not `&timings->field`: forming that address
+  // while `timings` is null (telemetry off) is undefined behaviour.
+  auto take_lap = [&](double PostJoinTimings::*into) {
     if (timed) {
-      for (const PostJoinTimings& tt : task_timings) {
-        timings->tighten_seconds += tt.tighten_seconds;
-        timings->shed_seconds += tt.shed_seconds;
-        timings->expire_seconds += tt.expire_seconds;
-        timings->translate_seconds += tt.translate_seconds;
-      }
+      timings->*into += lap.ElapsedSeconds();
+      lap.Start();
     }
-    for (size_t i = 0; i < cids.size(); ++i) {
-      phase_stats_.members_shed_maintenance += outcomes[i].shed;
-      if (outcomes[i].dissolve) {
-        SCUBA_RETURN_IF_ERROR(grid_.Remove(cids[i]));
-        SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cids[i]));
-        ++phase_stats_.clusters_dissolved_expired;
-      } else if (outcomes[i].resync) {
-        SCUBA_RETURN_IF_ERROR(
-            grid_.Contains(cids[i])
-                ? grid_.Update(cids[i], outcomes[i].registration)
-                : grid_.Insert(cids[i], outcomes[i].registration));
-      }
+  };
+  for (ClusterId cid : cids) {
+    MovingCluster* cluster = store_.GetCluster(cid);
+    SCUBA_CHECK(cluster != nullptr);
+    if (timed) lap.Start();
+    cluster->RecomputeTightBounds();
+    take_lap(&PostJoinTimings::tighten_seconds);
+    if (nucleus > 0.0) {
+      phase_stats_.members_shed_maintenance += cluster->ShedPositions(nucleus);
     }
+    take_lap(&PostJoinTimings::shed_seconds);
+    // Dissolve clusters that pass their destination before the next round
+    // (paper: "If at time T + Delta the cluster passes its destination node,
+    // the cluster gets dissolved."). Members re-cluster with their next
+    // updates.
+    Timestamp expiry = cluster->ComputeExpiryTime(now);
+    if (expiry <= now + options_.delta) {
+      SCUBA_RETURN_IF_ERROR(grid_.Remove(cid));
+      SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cid));
+      ++phase_stats_.clusters_dissolved_expired;
+      take_lap(&PostJoinTimings::expire_seconds);
+      continue;
+    }
+    take_lap(&PostJoinTimings::expire_seconds);
+    // Relocate to the expected position at the next evaluation time.
+    cluster->Translate(cluster->Velocity() *
+                       static_cast<double>(options_.delta));
+    SCUBA_RETURN_IF_ERROR(SyncClusterGrid(&grid_, cluster,
+                                          options_.query_reach_aware,
+                                          options_.grid_sync_padding));
+    take_lap(&PostJoinTimings::translate_seconds);
   }
 
   // Feed the shedder and propagate the (possibly new) nucleus radius to the

@@ -25,7 +25,6 @@
 
 #include "cluster/cluster_store.h"
 #include "cluster/leader_follower.h"
-#include "common/thread_pool.h"
 #include "core/cluster_join.h"
 #include "core/engine_snapshot.h"
 #include "core/load_shedder.h"
@@ -64,12 +63,11 @@ class ScubaEngine : public QueryProcessor {
   std::string_view name() const override { return "scuba"; }
   Status IngestObjectUpdate(const LocationUpdate& update) override;
   Status IngestQueryUpdate(const QueryUpdate& update) override;
-  /// Batched ingest: classification runs on ingest_threads worker tasks, all
-  /// store/grid mutations are applied in a deterministic merge, so the
-  /// resulting engine state is bit-identical to the per-update calls (all
-  /// objects, then all queries) at any thread count. Unlike the per-update
-  /// path, the whole batch is validated up front: an invalid update rejects
-  /// the batch before anything is ingested.
+  /// Batched ingest: the per-update path over all objects, then all
+  /// queries, so the resulting engine state is bit-identical to the
+  /// per-update calls. Unlike them, the whole batch is screened up front
+  /// (ScreenEngineBatch): under kStrict an invalid update rejects the batch
+  /// before anything is ingested.
   Status IngestBatch(std::span<const LocationUpdate> objects,
                      std::span<const QueryUpdate> queries) override;
   Status Evaluate(Timestamp now, ResultSet* results) override;
@@ -142,15 +140,11 @@ class ScubaEngine : public QueryProcessor {
     double translate_seconds = 0.0;
   };
 
-  /// Phase 3 (see class comment). Per-cluster upkeep (tighten, shed, expiry,
-  /// translate) is sharded over ingest_threads tasks; dissolutions and grid
-  /// re-registrations are planned per task and applied serially in ascending
-  /// cid order, so the outcome matches the serial loop exactly.
-  /// `*worker_seconds` receives the summed per-task busy time; `*timings`
-  /// (nullable) the per-sub-step wall split — null skips all extra clock
+  /// Phase 3 (see class comment): per-cluster upkeep (tighten, shed,
+  /// expiry, translate) in ascending cid order. `*timings` (nullable)
+  /// receives the per-sub-step wall split — null skips all extra clock
   /// reads, keeping the telemetry-off path cost-free.
-  Status PostJoinMaintenance(Timestamp now, double* worker_seconds,
-                             PostJoinTimings* timings);
+  Status PostJoinMaintenance(Timestamp now, PostJoinTimings* timings);
 
   /// Splits clusters whose radius deteriorated past the configured bound
   /// (runs inside phase 3 when enable_cluster_splitting is set).
@@ -160,11 +154,6 @@ class ScubaEngine : public QueryProcessor {
   /// rebuilds the grid and audits again. Corruption if still dirty — the
   /// divergence is in the store itself and cannot be healed.
   Status AuditAndHeal();
-
-  /// Shared worker pool for batched ingest and post-join maintenance,
-  /// created lazily on first parallel use; nullptr while ingest_threads
-  /// resolves to 1 (the serial paths never construct a pool).
-  ThreadPool* IngestPool();
 
   /// Telemetry setup (Create-time): registers the engine's metrics and the
   /// pre-flush hook that pushes cumulative-counter deltas.
@@ -188,12 +177,8 @@ class ScubaEngine : public QueryProcessor {
   ClusterJoinExecutor join_executor_;
   EvalStats stats_;
   ScubaPhaseStats phase_stats_;
-  uint32_t resolved_ingest_threads_ = 1;
-  std::unique_ptr<ThreadPool> ingest_pool_;
-  /// Pre-join (ingest) wall / summed-worker time accumulated since the last
-  /// Evaluate.
+  /// Pre-join (ingest) wall time accumulated since the last Evaluate.
   double pending_prejoin_seconds_ = 0.0;
-  double pending_prejoin_worker_seconds_ = 0.0;
 
   /// Observability (null unless options.telemetry.Enabled()). The handles
   /// are no-op value types, so instrumentation sites stay unconditional.

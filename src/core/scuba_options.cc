@@ -23,6 +23,47 @@ Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name) {
                                  " (strict|quarantine|repair)");
 }
 
+namespace {
+
+/// ScreenEngineBatch for one span. A clean span keeps `*view` on the caller's
+/// updates; otherwise kStrict returns the first error and the other policies
+/// copy the valid updates into `*kept` and point `*view` at them.
+template <typename Update>
+Status ScreenSpan(std::span<const Update> in, BadUpdatePolicy policy,
+                  std::vector<Update>* kept, std::span<const Update>* view,
+                  uint64_t* dropped) {
+  size_t first_bad = 0;
+  while (first_bad < in.size() && ValidateUpdate(in[first_bad]).ok()) {
+    ++first_bad;
+  }
+  if (first_bad == in.size()) return Status::OK();
+  if (policy == BadUpdatePolicy::kStrict) return ValidateUpdate(in[first_bad]);
+  kept->reserve(in.size());
+  kept->assign(in.begin(), in.begin() + first_bad);
+  for (size_t i = first_bad; i < in.size(); ++i) {
+    if (ValidateUpdate(in[i]).ok()) {
+      kept->push_back(in[i]);
+    } else {
+      ++*dropped;
+    }
+  }
+  *view = *kept;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ScreenEngineBatch(std::span<const LocationUpdate> objects,
+                         std::span<const QueryUpdate> queries,
+                         BadUpdatePolicy policy, ScreenedBatch* out) {
+  out->objects = objects;
+  out->queries = queries;
+  SCUBA_RETURN_IF_ERROR(ScreenSpan(objects, policy, &out->kept_objects,
+                                   &out->objects, &out->dropped));
+  return ScreenSpan(queries, policy, &out->kept_queries, &out->queries,
+                    &out->dropped);
+}
+
 std::string_view ShardFailurePolicyName(ShardFailurePolicy policy) {
   switch (policy) {
     case ShardFailurePolicy::kFail:
@@ -87,9 +128,6 @@ Status ScubaOptions::Validate() const {
   // beyond any plausible core count would only add scheduling overhead).
   if (join_threads > 1024) {
     return Status::InvalidArgument("join_threads must be in [0, 1024]");
-  }
-  if (ingest_threads > 1024) {
-    return Status::InvalidArgument("ingest_threads must be in [0, 1024]");
   }
   // Stripes beyond the row count are zero-area and legal (they simply own no
   // cells); the cap catches garbage values like the thread counts above.

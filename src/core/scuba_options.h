@@ -6,11 +6,14 @@
 #define SCUBA_CORE_SCUBA_OPTIONS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "gen/update.h"
 #include "geometry/rect.h"
 #include "obs/telemetry.h"
 
@@ -39,6 +42,26 @@ std::string_view BadUpdatePolicyName(BadUpdatePolicy policy);
 
 /// Parses a policy name; InvalidArgument on anything else.
 Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name);
+
+/// What ScreenEngineBatch lets through. `objects` / `queries` view the
+/// caller's spans when the batch is clean (no copy), else the `kept_*`
+/// copies.
+struct ScreenedBatch {
+  std::span<const LocationUpdate> objects;
+  std::span<const QueryUpdate> queries;
+  uint64_t dropped = 0;  ///< Invalid updates removed from the batch.
+  std::vector<LocationUpdate> kept_objects;
+  std::vector<QueryUpdate> kept_queries;
+};
+
+/// The batch screen in front of every engine's IngestBatch: the whole batch
+/// is validated (ValidateUpdate) before anything is ingested. Under kStrict
+/// an invalid update rejects the batch with its error. Under the other
+/// policies the invalid updates are dropped, so the batch quarantines
+/// exactly the tuples the per-update ingest calls would skip.
+Status ScreenEngineBatch(std::span<const LocationUpdate> objects,
+                         std::span<const QueryUpdate> queries,
+                         BadUpdatePolicy policy, ScreenedBatch* out);
 
 /// What a ShardedEngine does with per-shard load observations (see
 /// docs/ARCHITECTURE.md §11). Pure observation for now: no mode changes what
@@ -185,11 +208,10 @@ struct ScubaOptions {
   /// serial execution on the calling thread, bit-identical to the historical
   /// single-threaded engine. Results are deterministic for every value.
   uint32_t join_threads = 1;
-  /// Worker tasks for batched ingestion and post-join maintenance: updates
-  /// are classified and clusters maintained in parallel against a read-only
-  /// snapshot, with all mutations applied in a deterministic serial merge.
-  /// 0 = hardware concurrency; 1 (default) = the historical serial
-  /// per-update path. Output is bit-identical for every value.
+  /// Unused: ingestion and post-join maintenance are serial (phase 1 is
+  /// order-sensitive; docs/ARCHITECTURE.md §6). Kept only so existing
+  /// callers that still assign it compile; no engine reads it and Validate()
+  /// does not check it. Slated for removal.
   uint32_t ingest_threads = 1;
   /// Spatial shards for ShardedEngine execution: the grid's rows are carved
   /// into this many contiguous stripes, each owned by one EngineShard with

@@ -38,12 +38,4 @@ double JoinParallelEfficiency(const EvalStats& stats) {
   return Wrap(stats).JoinParallelEfficiency();
 }
 
-double IngestParallelSpeedup(const EvalStats& stats) {
-  return Wrap(stats).IngestParallelSpeedup();
-}
-
-double PostJoinParallelSpeedup(const EvalStats& stats) {
-  return Wrap(stats).PostJoinParallelSpeedup();
-}
-
 }  // namespace scuba

@@ -39,14 +39,6 @@ double JoinParallelSpeedup(const EvalStats& stats);
 /// Parallel efficiency in [0, 1]: JoinParallelSpeedup / join_threads.
 double JoinParallelEfficiency(const EvalStats& stats);
 
-/// Realized parallel speedup of batched ingestion: summed worker busy time
-/// over ingest wall time (0 when no ingest time was recorded).
-double IngestParallelSpeedup(const EvalStats& stats);
-
-/// Realized parallel speedup of post-join maintenance: summed worker busy
-/// time over post-join wall time (0 when none was recorded).
-double PostJoinParallelSpeedup(const EvalStats& stats);
-
 }  // namespace scuba
 
 #endif  // SCUBA_EVAL_ENGINE_STATS_H_

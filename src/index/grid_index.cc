@@ -23,7 +23,8 @@ GridIndex::GridIndex(const Rect& region, uint32_t cells_per_side)
       cells_per_side_(cells_per_side),
       cell_width_(region.Width() / cells_per_side),
       cell_height_(region.Height() / cells_per_side),
-      cells_(static_cast<size_t>(cells_per_side) * cells_per_side) {}
+      cell_list_(static_cast<size_t>(cells_per_side) * cells_per_side, 0),
+      lists_(1) {}
 
 uint32_t GridIndex::ColOf(double x) const {
   double rel = (x - region_.min_x) / cell_width_;
@@ -44,7 +45,7 @@ uint32_t GridIndex::CellIndexOf(Point p) const {
 }
 
 Rect GridIndex::CellBounds(uint32_t cell) const {
-  SCUBA_CHECK(cell < cells_.size());
+  SCUBA_CHECK(cell < cell_list_.size());
   uint32_t row = cell / cells_per_side_;
   uint32_t col = cell % cells_per_side_;
   return Rect{region_.min_x + col * cell_width_,
@@ -71,7 +72,13 @@ Status GridIndex::InsertIntoCells(uint32_t key, std::vector<uint32_t> cell_ids) 
     return Status::AlreadyExists("key " + std::to_string(key) +
                                  " is already indexed");
   }
-  for (uint32_t cell : cell_ids) cells_[cell].push_back(key);
+  for (uint32_t cell : cell_ids) {
+    if (cell_list_[cell] == 0) {  // first insert: the cell gets its own list
+      cell_list_[cell] = static_cast<uint32_t>(lists_.size());
+      lists_.emplace_back();
+    }
+    lists_[cell_list_[cell]].push_back(key);
+  }
   placements_.emplace(key, std::move(cell_ids));
   ++generation_;
   return Status::OK();
@@ -117,7 +124,7 @@ Status GridIndex::Remove(uint32_t key) {
     return Status::NotFound("key " + std::to_string(key) + " is not indexed");
   }
   for (uint32_t cell : it->second) {
-    std::vector<uint32_t>& entries = cells_[cell];
+    std::vector<uint32_t>& entries = lists_[cell_list_[cell]];
     auto pos = std::find(entries.begin(), entries.end(), key);
     SCUBA_CHECK(pos != entries.end());
     *pos = entries.back();
@@ -159,7 +166,7 @@ void GridIndex::CollectInRect(const Rect& r, std::vector<uint32_t>* out) const {
   CellsOverlapping(r, &cell_ids);
   size_t first_new = out->size();
   for (uint32_t cell : cell_ids) {
-    const std::vector<uint32_t>& entries = cells_[cell];
+    const std::vector<uint32_t>& entries = CellEntries(cell);
     out->insert(out->end(), entries.begin(), entries.end());
   }
   // Keys spanning several cells appear once per cell; dedup the appended tail.
@@ -171,12 +178,13 @@ void GridIndex::FlattenEntries(std::vector<uint32_t>* offsets,
                                std::vector<uint32_t>* entries) const {
   offsets->clear();
   entries->clear();
-  offsets->reserve(cells_.size() + 1);
+  offsets->reserve(cell_list_.size() + 1);
   size_t total = 0;
-  for (const auto& cell : cells_) total += cell.size();
+  for (const auto& list : lists_) total += list.size();
   entries->reserve(total);
   uint32_t offset = 0;
-  for (const auto& cell : cells_) {
+  for (uint32_t list : cell_list_) {
+    const std::vector<uint32_t>& cell = lists_[list];
     offsets->push_back(offset);
     entries->insert(entries->end(), cell.begin(), cell.end());
     offset += static_cast<uint32_t>(cell.size());
@@ -196,14 +204,14 @@ std::vector<uint32_t> GridIndex::Keys() const {
 }
 
 void GridIndex::Clear() {
-  for (auto& cell : cells_) cell.clear();
+  for (auto& list : lists_) list.clear();
   placements_.clear();
   ++generation_;
 }
 
 size_t GridIndex::EstimateMemoryUsage() const {
-  size_t bytes = VectorMemoryUsage(cells_);
-  for (const auto& cell : cells_) bytes += VectorMemoryUsage(cell);
+  size_t bytes = VectorMemoryUsage(cell_list_) + VectorMemoryUsage(lists_);
+  for (const auto& list : lists_) bytes += VectorMemoryUsage(list);
   bytes += UnorderedMapMemoryUsage(placements_);
   for (const auto& [key, cell_ids] : placements_) {
     (void)key;

@@ -33,7 +33,7 @@ class GridIndex {
 
   const Rect& region() const { return region_; }
   uint32_t cells_per_side() const { return cells_per_side_; }
-  size_t CellCount() const { return cells_.size(); }
+  size_t CellCount() const { return cell_list_.size(); }
   /// Number of keys currently indexed.
   size_t size() const { return placements_.size(); }
   bool Contains(uint32_t key) const { return placements_.contains(key); }
@@ -71,7 +71,7 @@ class GridIndex {
 
   /// Keys registered in cell `cell` (unordered).
   const std::vector<uint32_t>& CellEntries(uint32_t cell) const {
-    return cells_[cell];
+    return lists_[cell_list_[cell]];
   }
 
   /// Cells `key` is registered in (insertion order, not sorted), or nullptr
@@ -85,7 +85,7 @@ class GridIndex {
 
   /// Keys registered in the cell containing `p`.
   const std::vector<uint32_t>& EntriesNear(Point p) const {
-    return cells_[CellIndexOf(p)];
+    return CellEntries(CellIndexOf(p));
   }
 
   /// Snapshots every cell's entry list into one contiguous CSR slab: cell c's
@@ -117,8 +117,8 @@ class GridIndex {
   /// Removes every key.
   void Clear();
 
-  /// Analytic heap footprint: cell buffers + entries + placement map. This is
-  /// the quantity Figure 9b compares across operators.
+  /// Analytic heap footprint: cell table + entry lists + placement map. This
+  /// is the quantity Figure 9b compares across operators.
   size_t EstimateMemoryUsage() const;
 
  private:
@@ -139,7 +139,13 @@ class GridIndex {
   uint32_t cells_per_side_ = 0;
   double cell_width_ = 0.0;
   double cell_height_ = 0.0;
-  std::vector<std::vector<uint32_t>> cells_;
+  /// Sparse cell table: cell c's entries are lists_[cell_list_[c]]. List 0
+  /// is shared by every cell never inserted into and always stays empty; a
+  /// cell gets its own list on its first insert and keeps it (also across
+  /// Clear), so creating or destroying a mostly empty grid touches one
+  /// 4-byte slot per cell instead of one vector per cell.
+  std::vector<uint32_t> cell_list_;
+  std::vector<std::vector<uint32_t>> lists_;
   std::unordered_map<uint32_t, std::vector<uint32_t>> placements_;
   uint64_t generation_ = 0;
 };

@@ -4,7 +4,7 @@
 // Each evaluation round owns one tree rooted at "round"; the engine's phases
 // hang off it:
 //
-//   round -> ingest{classify, apply}
+//   round -> ingest
 //         -> join{between, within, shard[i]}
 //         -> postjoin{tighten, shed, expire, translate}
 //         -> checkpoint{snapshot, wal}

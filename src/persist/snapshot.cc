@@ -157,10 +157,10 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   w.PutU64(options.shedding.memory_budget_bytes);
   w.PutDouble(options.shedding.eta_step);
   w.PutDouble(options.shedding.relax_fraction);
-  // join_threads / ingest_threads / shards / rebalance / supervision /
-  // checkpoint policy deliberately excluded: results are bit-identical across
-  // them, so snapshots stay portable across thread counts, shard counts,
-  // supervision settings and retention settings.
+  // join_threads / shards / rebalance / supervision / checkpoint policy (and
+  // the unused ingest_threads) deliberately excluded: results are
+  // bit-identical across them, so snapshots stay portable across thread
+  // counts, shard counts, supervision settings and retention settings.
   return Fnv1a64(w.bytes());
 }
 
@@ -373,7 +373,7 @@ void PersistAccess::SaveEngineState(const ScubaEngine& e, ByteWriter* w) {
   w->PutU64(jc.within_joins_single);
   w->PutU64(jc.within_joins_pair);
   w->PutDouble(e.pending_prejoin_seconds_);
-  w->PutDouble(e.pending_prejoin_worker_seconds_);
+  w->PutDouble(e.pending_prejoin_seconds_);  // worker time: ingest is serial
 }
 
 Status PersistAccess::LoadEngineState(ByteReader* r, ScubaEngine* e) {
@@ -425,7 +425,7 @@ Status PersistAccess::LoadEngineState(ByteReader* r, ScubaEngine* e) {
   // The restored engine reports its own parallelism, not the checkpointed
   // run's (results are identical across thread counts by contract).
   e->stats_.join_threads = e->join_executor_.resolved_threads();
-  e->stats_.ingest_threads = e->resolved_ingest_threads_;
+  e->stats_.ingest_threads = 1;  // ingest is serial
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_dissolved_expired));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.members_shed_maintenance));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_split));
@@ -446,7 +446,8 @@ Status PersistAccess::LoadEngineState(ByteReader* r, ScubaEngine* e) {
   SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.within_joins_single));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.within_joins_pair));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_seconds_));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_worker_seconds_));
+  double prejoin_worker_seconds = 0.0;  // equals the wall time; not kept
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&prejoin_worker_seconds));
   // The adaptive shedder's eta was restored; propagate the nucleus radius to
   // the ingest path exactly as PostJoinMaintenance would have.
   e->clusterer_.set_nucleus_radius(e->shedder_.nucleus_radius());

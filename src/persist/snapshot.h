@@ -52,9 +52,9 @@ struct SnapshotMeta {
 };
 
 /// Fingerprint of the *semantic* engine options: every field that can change
-/// results. join_threads / ingest_threads / the checkpoint policy are
-/// excluded — results are bit-identical across them by the parallel
-/// executors' contract, so a snapshot taken at threads=4 restores cleanly
+/// results. join_threads / the checkpoint policy (and the unused
+/// ingest_threads) are excluded — results are bit-identical across them by
+/// the parallel join's contract, so a snapshot taken at threads=4 restores cleanly
 /// into a threads=1 engine (and the crash harness relies on exactly that).
 uint64_t OptionsFingerprint(const ScubaOptions& options);
 

@@ -80,9 +80,7 @@ ShardedEngine::ShardedEngine(const ScubaOptions& options, ShardRouter router)
                                  ? ThreadPool::DefaultThreadCount()
                                  : options.join_threads) {
   stats_.join_threads = resolved_join_threads_;
-  // Sharded ingest replays the per-update procedure serially (the shard fan
-  // is a join/post-join device); the bit-identity contract does not depend
-  // on it.
+  // Ingest is serial, like the single engine's.
   stats_.ingest_threads = 1;
 }
 
@@ -193,18 +191,13 @@ Status ShardedEngine::RemoveFromAllGrids(ClusterId cid) {
 }
 
 Status ShardedEngine::SyncAllGrids(MovingCluster* cluster) {
-  // PlanClusterGridSync's exact float semantics against the union grid:
-  // Contains == registered in any stripe, covered-check on the cluster's own
-  // registered_bounds memo.
-  const Circle needed = options_.query_reach_aware ? cluster->JoinBounds()
-                                                   : cluster->Bounds();
-  if (AnyGridContains(cluster->cid()) &&
-      ContainsCircle(cluster->registered_bounds(), needed)) {
+  // The clusterer's rule against the union grid: registered == in any stripe.
+  Circle padded;
+  if (!PlanGridRegistration(cluster, AnyGridContains(cluster->cid()),
+                            options_.query_reach_aware,
+                            options_.grid_sync_padding, &padded)) {
     return Status::OK();
   }
-  const Circle padded{needed.center,
-                      needed.radius + options_.grid_sync_padding};
-  cluster->set_registered_bounds(padded);
   return ApplyRegistration(cluster->cid(), padded);
 }
 
@@ -378,45 +371,16 @@ Status ShardedEngine::IngestQueryUpdate(const QueryUpdate& update) {
 
 Status ShardedEngine::IngestBatch(std::span<const LocationUpdate> objects,
                                   std::span<const QueryUpdate> queries) {
-  // ScubaEngine::IngestBatch's validation contract: the whole batch screens
-  // up front; strict rejects on the first offender, quarantine drops exactly
-  // the tuples the per-update path would skip.
-  size_t bad = 0;
-  Status first_bad = Status::OK();
-  for (const LocationUpdate& u : objects) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
-    }
-  }
-  for (const QueryUpdate& u : queries) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
-    }
-  }
-  std::vector<LocationUpdate> kept_objects;
-  std::vector<QueryUpdate> kept_queries;
-  if (bad > 0) {
-    if (options_.on_bad_update == BadUpdatePolicy::kStrict) return first_bad;
-    stats_.updates_quarantined += bad;
-    kept_objects.reserve(objects.size());
-    for (const LocationUpdate& u : objects) {
-      if (ValidateUpdate(u).ok()) kept_objects.push_back(u);
-    }
-    kept_queries.reserve(queries.size());
-    for (const QueryUpdate& u : queries) {
-      if (ValidateUpdate(u).ok()) kept_queries.push_back(u);
-    }
-    objects = kept_objects;
-    queries = kept_queries;
-  }
+  ScreenedBatch batch;
+  SCUBA_RETURN_IF_ERROR(
+      ScreenEngineBatch(objects, queries, options_.on_bad_update, &batch));
+  stats_.updates_quarantined += batch.dropped;
   TelemetryEnsureRound();
   Stopwatch sw;
-  for (const LocationUpdate& u : objects) {
+  for (const LocationUpdate& u : batch.objects) {
     SCUBA_RETURN_IF_ERROR(ReplayUpdate(EntityKind::kObject, &u, nullptr));
   }
-  for (const QueryUpdate& u : queries) {
+  for (const QueryUpdate& u : batch.queries) {
     SCUBA_RETURN_IF_ERROR(ReplayUpdate(EntityKind::kQuery, nullptr, &u));
   }
   const double wall = sw.ElapsedSeconds();
@@ -424,9 +388,7 @@ Status ShardedEngine::IngestBatch(std::span<const LocationUpdate> objects,
   pending_prejoin_worker_seconds_ += wall;  // serial replay: busy == wall
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
-    const int32_t ingest = tc.EnsureSpan(tc.root(), "ingest");
-    tc.Accumulate(ingest, wall, wall);
-    tc.Accumulate(tc.EnsureSpan(ingest, "apply"), wall);
+    tc.Accumulate(tc.EnsureSpan(tc.root(), "ingest"), wall, wall);
   }
   return Status::OK();
 }
@@ -729,17 +691,9 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
       }
       cluster->Translate(cluster->Velocity() *
                          static_cast<double>(options_.delta));
-      const Circle needed = options_.query_reach_aware ? cluster->JoinBounds()
-                                                       : cluster->Bounds();
-      if (AnyGridContains(cid) &&
-          ContainsCircle(cluster->registered_bounds(), needed)) {
-        continue;  // still covered by the previous registration
-      }
-      const Circle padded{needed.center,
-                          needed.radius + options_.grid_sync_padding};
-      cluster->set_registered_bounds(padded);
-      out.resync = true;
-      out.registration = padded;
+      out.resync = PlanGridRegistration(
+          cluster, AnyGridContains(cid), options_.query_reach_aware,
+          options_.grid_sync_padding, &out.registration);
     }
   };
   const uint32_t n = shard_count();

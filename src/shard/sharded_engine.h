@@ -64,8 +64,9 @@ class ShardedEngine : public QueryProcessor {
   std::string_view name() const override { return "scuba-sharded"; }
   Status IngestObjectUpdate(const LocationUpdate& update) override;
   Status IngestQueryUpdate(const QueryUpdate& update) override;
-  /// Batched ingest: validated up front exactly like ScubaEngine::IngestBatch
-  /// (strict rejects the batch, quarantine drops the bad tuples), then
+  /// Batched ingest: screened up front by ScreenEngineBatch like
+  /// ScubaEngine::IngestBatch (strict rejects the batch, quarantine drops the
+  /// bad tuples), then
   /// replayed serially in delivery order — bit-identical to the per-update
   /// calls by construction.
   Status IngestBatch(std::span<const LocationUpdate> objects,

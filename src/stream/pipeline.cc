@@ -58,8 +58,9 @@ Status StreamPipeline::RunTicks(int ticks, const ResultSink& sink) {
       SCUBA_RETURN_IF_ERROR(durability_->LogBatch(
           clock_.now(), evaluate, object_buffer_, query_buffer_));
     }
-    // One tick = one batch: engines with a parallel ingest path classify the
-    // whole tick at once; the default implementation loops per update.
+    // One tick = one batch: the SCUBA engines screen the whole tick up front
+    // before ingesting any of it; the default implementation loops per
+    // update.
     SCUBA_RETURN_IF_ERROR(engine_->IngestBatch(object_buffer_, query_buffer_));
     if (evaluate) {
       SCUBA_RETURN_IF_ERROR(engine_->Evaluate(clock_.now(), &results));

@@ -105,7 +105,6 @@ std::vector<Round> MakeRounds(uint64_t seed, int rounds) {
 ScubaOptions MakeOptions(uint32_t threads) {
   ScubaOptions opt;
   opt.join_threads = threads;
-  opt.ingest_threads = threads;
   opt.on_bad_update = BadUpdatePolicy::kQuarantine;
   // Checkpoint every 2 rounds, small segments: one 8-round run exercises
   // rotation, retention pruning and multi-snapshot fallback.

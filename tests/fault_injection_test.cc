@@ -312,14 +312,12 @@ TEST(FaultInjectorTest, ValidatorRecoversExactlyTheReferenceStream) {
 }
 
 /// Feeds pre-corrupted rounds to an engine under BadUpdatePolicy::kQuarantine,
-/// either through the serial per-update API or through IngestBatch at the
-/// given thread count, digesting state after every Evaluate.
+/// either through the per-update API or through IngestBatch, digesting state
+/// after every Evaluate.
 std::vector<std::string> RunEngineOnDirty(const std::vector<Round>& dirty,
-                                          uint32_t ingest_threads,
                                           bool use_batch_api,
                                           uint64_t* quarantined_out) {
   ScubaOptions opt;
-  opt.ingest_threads = ingest_threads;
   opt.on_bad_update = BadUpdatePolicy::kQuarantine;
   std::unique_ptr<ScubaEngine> engine =
       std::move(ScubaEngine::Create(opt).value());
@@ -345,10 +343,10 @@ std::vector<std::string> RunEngineOnDirty(const std::vector<Round>& dirty,
   return digests;
 }
 
-TEST(FaultInjectionEngineTest, BatchQuarantineMatchesSerialAcrossThreads) {
+TEST(FaultInjectionEngineTest, BatchQuarantineMatchesPerUpdatePath) {
   // Corrupt a workload with every fault class, then require the engine-level
-  // quarantine path to be bit-identical between the serial per-update API and
-  // IngestBatch at 1 and 4 threads.
+  // quarantine path to be bit-identical between the per-update API and
+  // IngestBatch.
   std::vector<Round> dirty = MakeCleanRounds(31, 5);
   FaultPlan plan = FaultPlan::AllFaults(0.1, kRegion, /*node_count=*/0);
   FaultInjector injector(plan, /*seed=*/0xD1A7);
@@ -358,18 +356,15 @@ TEST(FaultInjectionEngineTest, BatchQuarantineMatchesSerialAcrossThreads) {
   }
   uint64_t serial_quarantined = 0;
   std::vector<std::string> serial =
-      RunEngineOnDirty(dirty, 1, /*use_batch_api=*/false, &serial_quarantined);
+      RunEngineOnDirty(dirty, /*use_batch_api=*/false, &serial_quarantined);
   EXPECT_GT(serial_quarantined, 0u) << "workload must exercise quarantine";
-  for (uint32_t threads : {1u, 4u}) {
-    uint64_t batch_quarantined = 0;
-    std::vector<std::string> batch =
-        RunEngineOnDirty(dirty, threads, /*use_batch_api=*/true,
-                         &batch_quarantined);
-    EXPECT_EQ(batch_quarantined, serial_quarantined) << "threads=" << threads;
-    ASSERT_EQ(batch.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batch[i], serial[i]) << "threads=" << threads << " round=" << i;
-    }
+  uint64_t batch_quarantined = 0;
+  std::vector<std::string> batch =
+      RunEngineOnDirty(dirty, /*use_batch_api=*/true, &batch_quarantined);
+  EXPECT_EQ(batch_quarantined, serial_quarantined);
+  ASSERT_EQ(batch.size(), serial.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(batch[i], serial[i]) << "round=" << i;
   }
 }
 

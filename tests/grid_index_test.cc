@@ -249,5 +249,76 @@ TEST(GridIndexTest, GenerationCountsEveryMutation) {
   EXPECT_GT(grid.generation(), after_remove);
 }
 
+TEST(GridIndexTest, UntouchedCellsStayEmptyWhileOthersFill) {
+  GridIndex g = MakeGrid(100.0, 10);
+  // Fill the left half's cells; the right half is never inserted into.
+  for (uint32_t k = 0; k < 200; ++k) {
+    const double x = 2.0 + (k % 5) * 10.0;
+    const double y = 2.0 + (k / 5 % 10) * 10.0;
+    ASSERT_TRUE(g.Insert(k, Point{x, y}).ok());
+  }
+  for (uint32_t c = 0; c < g.CellCount(); ++c) {
+    const bool left = c % 10 < 5;
+    EXPECT_EQ(g.CellEntries(c).size(), left ? 4u : 0u) << "cell " << c;
+  }
+  EXPECT_TRUE(g.EntriesNear({95, 95}).empty());
+}
+
+TEST(GridIndexTest, CellEmptiedByRemoveRefills) {
+  GridIndex g = MakeGrid(100.0, 10);
+  ASSERT_TRUE(g.Insert(1, Point{55, 55}).ok());
+  ASSERT_TRUE(g.Insert(2, Point{56, 56}).ok());
+  ASSERT_TRUE(g.Remove(1).ok());
+  ASSERT_TRUE(g.Remove(2).ok());
+  EXPECT_TRUE(g.EntriesNear({55, 55}).empty());
+  ASSERT_TRUE(g.Insert(3, Point{57, 57}).ok());
+  EXPECT_EQ(g.EntriesNear({55, 55}), std::vector<uint32_t>{3});
+  // A cell next door, never touched, stays empty.
+  EXPECT_TRUE(g.EntriesNear({45, 55}).empty());
+  g.Clear();
+  EXPECT_TRUE(g.EntriesNear({55, 55}).empty());
+  ASSERT_TRUE(g.Insert(4, Point{55, 55}).ok());
+  EXPECT_EQ(g.EntriesNear({55, 55}), std::vector<uint32_t>{4});
+}
+
+TEST(GridIndexTest, FlattenEntriesMatchesCellEntriesAfterChurn) {
+  Rng rng(4242);
+  GridIndex g = MakeGrid(1000.0, 20);
+  std::vector<char> present(300, 0);
+  auto random_circle = [&rng]() {
+    return Circle{{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)},
+                  rng.NextDouble(0, 120)};
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextDouble(0, 300));
+    const double op = rng.NextDouble(0, 1);
+    if (!present[key]) {
+      ASSERT_TRUE(g.Insert(key, random_circle()).ok());
+      present[key] = 1;
+    } else if (op < 0.4) {
+      ASSERT_TRUE(g.Remove(key).ok());
+      present[key] = 0;
+    } else {
+      ASSERT_TRUE(g.Update(key, random_circle()).ok());
+    }
+  }
+  std::vector<uint32_t> offsets, entries;
+  g.FlattenEntries(&offsets, &entries);
+  ASSERT_EQ(offsets.size(), g.CellCount() + 1);
+  EXPECT_EQ(offsets.back(), entries.size());
+  for (uint32_t c = 0; c < g.CellCount(); ++c) {
+    const std::vector<uint32_t> flat(entries.begin() + offsets[c],
+                                     entries.begin() + offsets[c + 1]);
+    EXPECT_EQ(flat, g.CellEntries(c)) << "cell " << c;
+  }
+}
+
+TEST(GridIndexTest, EmptyGridIsSmall) {
+  // One 4-byte slot per cell plus the shared empty list: the 100x100
+  // ClusterGrid costs well under one vector header per cell.
+  GridIndex g = MakeGrid(10000.0, 100);
+  EXPECT_LT(g.EstimateMemoryUsage(), 50u * 1024u);
+}
+
 }  // namespace
 }  // namespace scuba

@@ -375,7 +375,6 @@ TEST(SnapshotTest, SnapshotIsPortableAcrossThreadCounts) {
   std::vector<Round> rounds = MakeRounds(17, 6);
   ScubaOptions serial_opt;
   serial_opt.join_threads = 1;
-  serial_opt.ingest_threads = 1;
   std::unique_ptr<ScubaEngine> serial = MakeEngine(serial_opt);
   Drive(serial.get(), rounds, 0, 6);
   ASSERT_TRUE(serial->Checkpoint(dir.path()).ok());
@@ -383,13 +382,11 @@ TEST(SnapshotTest, SnapshotIsPortableAcrossThreadCounts) {
   // Thread counts are excluded from the options fingerprint by contract.
   ScubaOptions parallel_opt;
   parallel_opt.join_threads = 4;
-  parallel_opt.ingest_threads = 4;
   std::unique_ptr<ScubaEngine> parallel = MakeEngine(parallel_opt);
   ASSERT_TRUE(parallel->Restore(dir.path()).ok());
   EXPECT_EQ(StateDigest(*parallel), StateDigest(*serial));
   // The live engine's thread configuration survives the restore.
   EXPECT_EQ(parallel->StatsSnapshot().eval.join_threads, 4u);
-  EXPECT_EQ(parallel->StatsSnapshot().eval.ingest_threads, 4u);
 }
 
 TEST(SnapshotTest, RestoreFromEmptyDirIsNotFound) {
@@ -419,7 +416,6 @@ TEST(SnapshotTest, ThreadCountsDoNotChangeFingerprint) {
   ScubaOptions a;
   ScubaOptions b = a;
   b.join_threads = 8;
-  b.ingest_threads = 8;
   b.checkpoint.every_n_rounds = 3;
   b.checkpoint.keep_last_k = 7;
   EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(b));

@@ -136,7 +136,6 @@ TEST_P(ServeDeterminismTest, DeltaStreamBitMatchesOfflineReplay) {
   ScubaOptions opt;
   opt.shards = shards;
   opt.join_threads = threads;
-  opt.ingest_threads = threads;
   const int kTicks = 12;
   const int kDelta = 2;  // evaluate every 2nd batch, like the offline default
   const std::vector<TickBatch> ticks = MakeTicks(kTicks);

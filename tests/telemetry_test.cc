@@ -394,7 +394,6 @@ TEST(TelemetryTest, CountersAndGaugesBitIdenticalAcrossThreads) {
     const std::string path =
         TmpPath("determinism_" + std::to_string(threads) + ".jsonl");
     ScubaOptions opt;
-    opt.ingest_threads = threads;
     opt.join_threads = threads;
     opt.telemetry.metrics_out = path;
     RunWorkload(rounds, opt);
@@ -428,7 +427,6 @@ TEST(TelemetryTest, TelemetryDoesNotPerturbResultsOrState) {
   const std::vector<Round> rounds = MakeRounds(31, 4);
   ScubaOptions off;
   off.join_threads = 2;
-  off.ingest_threads = 2;
   ScubaOptions on = off;
   on.telemetry.enabled = true;  // collect-only: no files
   ScubaOptions files = off;

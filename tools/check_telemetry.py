@@ -29,6 +29,10 @@ queue_bytes gauges, the scuba_serve_push_latency_ms histogram) registered
 on the engine registry by `scuba_cli serve`. No span changes. Files from
 older engines fail only on their schema_version field.
 
+Ingest is serial, so "ingest" is a bare span: the "classify" and "apply"
+children of the former parallel ingest path are no longer emitted and are
+no longer known span names.
+
 Exit code 0 = all checks passed, 1 = validation failure.
 """
 
@@ -57,9 +61,9 @@ JOIN_KEYS = {"shards", "imbalance"}
 # single engine's per-task join span; "engine_shard", "handoff" and
 # "recovery" belong to the sharded engine.
 KNOWN_SPAN_NAMES = {
-    "round", "ingest", "classify", "apply", "join", "between", "within",
-    "shard", "engine_shard", "postjoin", "tighten", "shed", "expire",
-    "translate", "handoff", "recovery", "checkpoint", "wal", "snapshot",
+    "round", "ingest", "join", "between", "within", "shard",
+    "engine_shard", "postjoin", "tighten", "shed", "expire", "translate",
+    "handoff", "recovery", "checkpoint", "wal", "snapshot",
 }
 # Per-shard spans must be indexed (the shard id) so consumers can attribute
 # load; their parent must be the phase span named here.

@@ -36,15 +36,19 @@
 // success only.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/naive_join_engine.h"
@@ -102,25 +106,45 @@ class Flags {
     seen_.insert(key);
     return it == values_.end() ? def : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t def) const {
+  /// Numeric flag. The whole value must parse (std::from_chars) as a T in
+  /// range: no sign on unsigned types, no trailing characters, finite
+  /// floats. A bad value returns `def` and is reported by Check().
+  template <typename T>
+  T Get(const std::string& key, T def) const {
     auto it = values_.find(key);
     seen_.insert(key);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values_.find(key);
-    seen_.insert(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    if (it == values_.end()) return def;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (ok) return value;
+    if constexpr (std::is_floating_point_v<T>) {
+      Reject(key, text, "a finite number");
+    } else {
+      Reject(key, text,
+             "an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    return def;
   }
   bool GetBool(const std::string& key, bool def) const {
     auto it = values_.find(key);
     seen_.insert(key);
     if (it == values_.end()) return def;
-    return it->second == "true" || it->second == "1";
+    if (it->second == "true" || it->second == "1") return true;
+    if (it->second == "false" || it->second == "0") return false;
+    Reject(key, it->second, "true, false, 1 or 0");
+    return def;
   }
 
-  /// Error if any provided flag was never consumed (typo protection).
-  Status CheckAllConsumed() const {
+  /// The first bad flag value, else any provided flag that was never
+  /// consumed (typo protection). Call after reading every flag.
+  Status Check() const {
+    if (!error_.ok()) return error_;
     for (const auto& [key, value] : values_) {
       (void)value;
       if (!seen_.contains(key)) {
@@ -131,8 +155,16 @@ class Flags {
   }
 
  private:
+  void Reject(const std::string& key, const std::string& text,
+              const std::string& want) const {
+    if (!error_.ok()) return;
+    error_ = Status::InvalidArgument("invalid value for --" + key + ": \"" +
+                                     text + "\" (want " + want + ")");
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> seen_;
+  mutable Status error_;
 };
 
 Status WriteFile(const std::string& path, const std::string& content) {
@@ -174,15 +206,15 @@ int Fail(const Status& s) {
 
 int CmdGenerateMap(const Flags& flags) {
   GridCityOptions opt;
-  opt.rows = static_cast<uint32_t>(flags.GetInt("rows", 21));
-  opt.cols = static_cast<uint32_t>(flags.GetInt("cols", 21));
-  opt.block_size = flags.GetDouble("block", 500.0);
-  opt.arterial_every = static_cast<uint32_t>(flags.GetInt("arterial", 5));
-  opt.highway_every = static_cast<uint32_t>(flags.GetInt("highway", 10));
-  opt.jitter = flags.GetDouble("jitter", 0.1);
-  opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
+  opt.rows = flags.Get<uint32_t>("rows", 21);
+  opt.cols = flags.Get<uint32_t>("cols", 21);
+  opt.block_size = flags.Get<double>("block", 500.0);
+  opt.arterial_every = flags.Get<uint32_t>("arterial", 5);
+  opt.highway_every = flags.Get<uint32_t>("highway", 10);
+  opt.jitter = flags.Get<double>("jitter", 0.1);
+  opt.seed = flags.Get<uint64_t>("seed", 0x5C0BA);
   std::string out = flags.GetString("out", "city.map");
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<RoadNetwork> net = GenerateGridCity(opt);
@@ -198,18 +230,18 @@ int CmdGenerateMap(const Flags& flags) {
 int CmdGenerateTrace(const Flags& flags) {
   std::string map_path = flags.GetString("map", "");
   WorkloadOptions opt;
-  opt.num_objects = static_cast<uint32_t>(flags.GetInt("objects", 10000));
-  opt.num_queries = static_cast<uint32_t>(flags.GetInt("queries", 10000));
-  opt.skew = static_cast<uint32_t>(flags.GetInt("skew", 100));
-  opt.mixed_group_fraction = flags.GetDouble("mixed-fraction", 0.25);
-  opt.min_range = flags.GetDouble("min-range", 50.0);
-  opt.max_range = flags.GetDouble("max-range", 200.0);
-  opt.query_filter_probability = flags.GetDouble("query-filter", 0.0);
-  opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
-  int ticks = static_cast<int>(flags.GetInt("ticks", 12));
-  double fraction = flags.GetDouble("update-fraction", 1.0);
+  opt.num_objects = flags.Get<uint32_t>("objects", 10000);
+  opt.num_queries = flags.Get<uint32_t>("queries", 10000);
+  opt.skew = flags.Get<uint32_t>("skew", 100);
+  opt.mixed_group_fraction = flags.Get<double>("mixed-fraction", 0.25);
+  opt.min_range = flags.Get<double>("min-range", 50.0);
+  opt.max_range = flags.Get<double>("max-range", 200.0);
+  opt.query_filter_probability = flags.Get<double>("query-filter", 0.0);
+  opt.seed = flags.Get<uint64_t>("seed", 0x5C0BA);
+  int ticks = flags.Get<int>("ticks", 12);
+  double fraction = flags.Get<double>("update-fraction", 1.0);
   std::string out = flags.GetString("out", "run.trace");
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   RoadNetwork network;
@@ -247,28 +279,23 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
                                            BadUpdatePolicy policy) {
   ScubaOptions opt;
   opt.region = region;
-  opt.grid_cells = static_cast<uint32_t>(flags.GetInt("grid-cells", 100));
-  opt.theta_d = flags.GetDouble("theta-d", 100.0);
-  opt.theta_s = flags.GetDouble("theta-s", 10.0);
-  opt.delta = flags.GetInt("delta", 2);
+  opt.grid_cells = flags.Get<uint32_t>("grid-cells", 100);
+  opt.theta_d = flags.Get<double>("theta-d", 100.0);
+  opt.theta_s = flags.Get<double>("theta-s", 10.0);
+  opt.delta = flags.Get<Timestamp>("delta", 2);
   opt.enable_cluster_splitting = flags.GetBool("splitting", false);
-  opt.join_threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  opt.ingest_threads =
-      static_cast<uint32_t>(flags.GetInt("ingest-threads", 1));
+  opt.join_threads = flags.Get<uint32_t>("threads", 1);
   // Sharding (docs/ARCHITECTURE.md §11). Bit-identical to --shards 1, so the
   // snapshot options fingerprint excludes both flags.
-  opt.shards = static_cast<uint32_t>(flags.GetInt("shards", 1));
+  opt.shards = flags.Get<uint32_t>("shards", 1);
   Result<RebalanceMode> rebalance =
       ParseRebalanceMode(flags.GetString("rebalance", "off"));
   if (!rebalance.ok()) return rebalance.status();
   opt.rebalance = *rebalance;
   opt.on_bad_update = policy;
-  opt.audit_every_n_rounds =
-      static_cast<uint32_t>(flags.GetInt("audit-every", 0));
-  opt.checkpoint.every_n_rounds =
-      static_cast<uint32_t>(flags.GetInt("checkpoint-every", 0));
-  opt.checkpoint.keep_last_k =
-      static_cast<uint32_t>(flags.GetInt("keep-last", 2));
+  opt.audit_every_n_rounds = flags.Get<uint32_t>("audit-every", 0);
+  opt.checkpoint.every_n_rounds = flags.Get<uint32_t>("checkpoint-every", 0);
+  opt.checkpoint.keep_last_k = flags.Get<uint32_t>("keep-last", 2);
   // Shard fault isolation (docs/ARCHITECTURE.md §13). Non-semantic like the
   // thread counts — a clean run is bit-identical under every setting — so the
   // snapshot options fingerprint excludes all of these too.
@@ -276,17 +303,16 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
       flags.GetString("on-shard-failure", "fail"));
   if (!on_shard_failure.ok()) return on_shard_failure.status();
   opt.supervision.on_failure = *on_shard_failure;
-  opt.supervision.max_recovery_attempts = static_cast<uint32_t>(
-      flags.GetInt("shard-max-recovery-attempts", 3));
+  opt.supervision.max_recovery_attempts =
+      flags.Get<uint32_t>("shard-max-recovery-attempts", 3);
   opt.supervision.backoff_base_rounds =
-      static_cast<uint32_t>(flags.GetInt("shard-backoff-rounds", 1));
+      flags.Get<uint32_t>("shard-backoff-rounds", 1);
   opt.supervision.round_deadline_seconds =
-      flags.GetDouble("shard-round-deadline", 0.0);
-  opt.supervision.fault_seed =
-      static_cast<uint64_t>(flags.GetInt("shard-fault-seed", 0x5C0BA));
-  opt.supervision.fault_rate = flags.GetDouble("shard-fault-rate", 0.0);
+      flags.Get<double>("shard-round-deadline", 0.0);
+  opt.supervision.fault_seed = flags.Get<uint64_t>("shard-fault-seed", 0x5C0BA);
+  opt.supervision.fault_rate = flags.Get<double>("shard-fault-rate", 0.0);
   opt.supervision.fault_spec = flags.GetString("shard-fault-spec", "");
-  const double eta = flags.GetDouble("eta", 0.0);
+  const double eta = flags.Get<double>("eta", 0.0);
   if (eta > 0.0) {
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
@@ -319,8 +345,7 @@ Result<Rect> ResolveRegion(const std::string& map_path, const Trace& trace,
 /// --crash-at NAME [--crash-after N]: a disarmed injector when absent.
 Result<CrashInjector> CrashInjectorFromFlags(const Flags& flags) {
   const std::string at = flags.GetString("crash-at", "");
-  const uint64_t after =
-      static_cast<uint64_t>(flags.GetInt("crash-after", 1));
+  const uint64_t after = flags.Get<uint64_t>("crash-after", 1);
   if (at.empty()) return CrashInjector();
   Result<CrashPoint> point = ParseCrashPoint(at);
   if (!point.ok()) return point.status();
@@ -335,7 +360,7 @@ int CmdRun(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string engine_name = flags.GetString("engine", "scuba");
   std::string map_path = flags.GetString("map", "");
-  Timestamp delta = flags.GetInt("delta", 2);
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
   bool quiet = flags.GetBool("quiet", false);
   std::string csv_path = flags.GetString("csv", "");
   std::string policy_name = flags.GetString("on-bad-update", "strict");
@@ -368,7 +393,7 @@ int CmdRun(const Flags& flags) {
       ScubaOptionsFromFlags(flags, region, *policy);
   if (!scuba_opt_result.ok()) return Fail(scuba_opt_result.status());
   const ScubaOptions scuba_opt = *scuba_opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(scuba_opt, engine_name);
@@ -451,7 +476,7 @@ int CmdCheckpoint(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string map_path = flags.GetString("map", "");
   std::string durable_dir = flags.GetString("durable-dir", "");
-  Timestamp delta = flags.GetInt("delta", 2);
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
   std::string policy_name = flags.GetString("on-bad-update", "strict");
   Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
   if (!policy.ok()) return Fail(policy.status());
@@ -468,7 +493,7 @@ int CmdCheckpoint(const Flags& flags) {
       ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt_result.ok()) return Fail(opt_result.status());
   const ScubaOptions opt = *opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   UpdateValidator validator(vconfig);
@@ -527,7 +552,7 @@ int CmdRestore(const Flags& flags) {
       ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt_result.ok()) return Fail(opt_result.status());
   const ScubaOptions opt = *opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(opt);
@@ -564,7 +589,7 @@ int CmdRecover(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string map_path = flags.GetString("map", "");
   std::string durable_dir = flags.GetString("durable-dir", "");
-  Timestamp delta = flags.GetInt("delta", 2);
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
   bool quiet = flags.GetBool("quiet", false);
   bool json = flags.GetBool("json", false);
   std::string policy_name = flags.GetString("on-bad-update", "strict");
@@ -585,7 +610,7 @@ int CmdRecover(const Flags& flags) {
   const ScubaOptions opt = *opt_result;
   Result<CrashInjector> crash = CrashInjectorFromFlags(flags);
   if (!crash.ok()) return Fail(crash.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   UpdateValidator validator(vconfig);
@@ -643,10 +668,10 @@ int CmdRecover(const Flags& flags) {
 int CmdCorruptTrace(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string out = flags.GetString("out", "bad.trace");
-  double rate = flags.GetDouble("rate", 0.02);
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
-  uint32_t burst_size = static_cast<uint32_t>(flags.GetInt("burst-size", 8));
-  Status consumed = flags.CheckAllConsumed();
+  double rate = flags.Get<double>("rate", 0.02);
+  uint64_t seed = flags.Get<uint64_t>("seed", 0x5C0BA);
+  uint32_t burst_size = flags.Get<uint32_t>("burst-size", 8);
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -677,12 +702,10 @@ int CmdCorruptTrace(const Flags& flags) {
 
 int CmdCompare(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
-  Timestamp delta = flags.GetInt("delta", 2);
-  double eta = flags.GetDouble("eta", 0.0);
-  uint32_t threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  uint32_t ingest_threads =
-      static_cast<uint32_t>(flags.GetInt("ingest-threads", 1));
-  Status consumed = flags.CheckAllConsumed();
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
+  double eta = flags.Get<double>("eta", 0.0);
+  uint32_t threads = flags.Get<uint32_t>("threads", 1);
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -693,7 +716,6 @@ int CmdCompare(const Flags& flags) {
   opt.region = region;
   opt.delta = delta;
   opt.join_threads = threads;
-  opt.ingest_threads = ingest_threads;
   if (eta > 0.0) {
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
@@ -727,9 +749,9 @@ int CmdCompare(const Flags& flags) {
 int CmdRender(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string out = flags.GetString("out", "snapshot.svg");
-  Timestamp delta = flags.GetInt("delta", 2);
-  double width = flags.GetDouble("width", 1000.0);
-  Status consumed = flags.CheckAllConsumed();
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
+  double width = flags.Get<double>("width", 1000.0);
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -774,7 +796,7 @@ int CmdFsck(int argc, char** argv) {
   if (!flags.ok()) return Fail(flags.status());
   if (dir.empty()) dir = flags->GetString("dir", "");
   const bool json = flags->GetBool("json", false);
-  Status consumed = flags->CheckAllConsumed();
+  Status consumed = flags->Check();
   if (!consumed.ok()) return Fail(consumed);
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("usage: scuba_cli fsck <dir> [--json]"));
@@ -824,13 +846,11 @@ int CmdServe(const Flags& flags) {
   std::string durable_dir = flags.GetString("durable-dir", "");
   std::string port_file = flags.GetString("port-file", "");
   serve::ServeOptions serve_opt;
-  serve_opt.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  serve_opt.max_sessions =
-      static_cast<uint32_t>(flags.GetInt("max-sessions", 64));
+  serve_opt.port = flags.Get<uint16_t>("port", 0);
+  serve_opt.max_sessions = flags.Get<uint32_t>("max-sessions", 64);
   serve_opt.max_queue_bytes =
-      static_cast<size_t>(flags.GetInt("max-queue-bytes", 1 << 20));
-  serve_opt.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("serve-memory-budget", 0));
+      flags.Get<size_t>("max-queue-bytes", size_t{1} << 20);
+  serve_opt.memory_budget_bytes = flags.Get<size_t>("serve-memory-budget", 0);
   Result<serve::SlowConsumerPolicy> slow = serve::ParseSlowConsumerPolicy(
       flags.GetString("slow-consumer", "coalesce"));
   if (!slow.ok()) return Fail(slow.status());
@@ -850,7 +870,7 @@ int CmdServe(const Flags& flags) {
 
   Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(*opt, engine_name);
@@ -922,8 +942,8 @@ int CmdServeReplay(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string map_path = flags.GetString("map", "");
   std::string policy_name = flags.GetString("on-bad-update", "strict");
-  Timestamp delta = flags.GetInt("delta", 2);
-  int port = static_cast<int>(flags.GetInt("port", 0));
+  Timestamp delta = flags.Get<Timestamp>("delta", 2);
+  int port = flags.Get<uint16_t>("port", 0);
   std::string port_file = flags.GetString("port-file", "");
   const bool shutdown = flags.GetBool("shutdown", false);
   const bool compare = flags.GetBool("compare-offline", true);
@@ -941,7 +961,7 @@ int CmdServeReplay(const Flags& flags) {
   if (!region.ok()) return Fail(region.status());
   Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Check();
   if (!consumed.ok()) return Fail(consumed);
 
   if (port == 0) {
@@ -1060,7 +1080,7 @@ int Usage() {
       "                  --query-filter F --seed N]\n"
       "  run             --trace FILE [--engine scuba|grid|naive --delta N\n"
       "                  --grid-cells N --theta-d F --theta-s F --eta F\n"
-      "                  --threads N (0 = all cores) --ingest-threads N\n"
+      "                  --threads N (0 = all cores)\n"
       "                  --shards N --rebalance off|observe\n"
       "                  --splitting --quiet --csv FILE --map FILE\n"
       "                  --on-bad-update strict|quarantine|repair\n"
@@ -1087,8 +1107,7 @@ int Usage() {
       "  serve-replay    --trace FILE (--port N | --port-file FILE)\n"
       "                  [--delta N --map FILE --shutdown\n"
       "                  --compare-offline BOOL + run options]\n"
-      "  compare         --trace FILE [--delta N --eta F --threads N\n"
-      "                  --ingest-threads N]\n"
+      "  compare         --trace FILE [--delta N --eta F --threads N]\n"
       "  render          --trace FILE --out FILE.svg [--delta N --width PX]\n"
       "  corrupt-trace   --trace FILE --out FILE [--rate F --seed N\n"
       "                  --burst-size N]\n\n"
